@@ -4,10 +4,7 @@
 
 GO ?= go
 
-# Benchmarks whose ns/op are tracked against BENCH_baseline.json.
-TRACKED_BENCH := BenchmarkEvaluateParallel|BenchmarkPublishSharded|BenchmarkRepublishIncremental|BenchmarkIngestBatch|BenchmarkRecover|BenchmarkShardedIngest
-
-.PHONY: all build lint docs test race check bench-refresh fmt
+.PHONY: all build lint docs test race check bench bench-quick fmt
 
 all: check
 
@@ -41,12 +38,16 @@ race:
 
 check: build lint test
 
-# bench-refresh reruns the tracked benchmarks and rewrites
-# BENCH_baseline.json in place. Run on a quiet machine; commit the result
-# together with the change that moved the numbers.
-bench-refresh:
-	$(GO) test -bench '$(TRACKED_BENCH)' -benchtime=2x -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -update BENCH_baseline.json
+# bench runs the repository's benchmark (bench/README.md): the four
+# workloads, untraced then traced, into bench-results.json (ignored by
+# git). Compare two such files, one per commit, with
+# `go run ./bench -compare base.json change.json`. bench-quick is the
+# seconds-long smoke run CI makes; its figures are not calibrated.
+bench:
+	$(GO) run ./bench -seed 1 -out bench-results.json
+
+bench-quick:
+	$(GO) run ./bench -seed 1 -out /dev/null -quick
 
 fmt:
 	gofmt -w .

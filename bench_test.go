@@ -160,7 +160,7 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 // shards in flight), and the per-shard analysis state is much smaller than
 // the monolithic one, so sharded latency grows sub-linearly with dataset
 // size while monolithic latency does not. CI runs this at -benchtime=1x as
-// a smoke test; track the ratios locally with cmd/benchjson.
+// a smoke test; the before/after figures come from `make bench`.
 func BenchmarkPublishSharded(b *testing.B) {
 	const days = 6
 	for _, users := range []int{8, 16, 32} {

@@ -24,10 +24,17 @@
 // Publication is the platform's hottest path, so it runs on a concurrent
 // evaluation engine (see engine.go):
 //
-//   - the per-run shared state — reference POIs, attacker extractor,
-//     analysis grid, raw density and the raw-side traffic baseline — is
-//     computed once per run into an evalContext instead of once per
-//     strategy;
+//   - the strategy-independent half of an evaluation is computed once per
+//     run into an evalContext instead of once per strategy: the reference
+//     POIs and a metrics.RawView of the raw dataset — per user, the raw
+//     trajectories as contiguous timestamps beside their positions; the raw
+//     visited cells of the analysis grid; the raw top-k crowded cells; and
+//     the traffic baseline (the held-out last day's counts and the error
+//     of the forecaster trained on the days before it);
+//   - each strategy then costs one protection, one POI-recovery attack and
+//     one scan of its protected dataset (RawView.Score): every record is
+//     binned once on the grid for coverage, crowded places and traffic, and
+//     located once on its user's raw trajectories for the distortion;
 //   - the strategy portfolio is fanned out over a bounded worker pool of
 //     Config.Parallelism goroutines (default one per CPU), each strategy
 //     additionally parallelising its dataset protection across

@@ -21,26 +21,15 @@ import (
 // live on the Middleware itself (they depend only on configuration, see
 // New), so a run only derives the dataset-dependent state here.
 type evalContext struct {
-	raw        *trace.Dataset
-	truth      map[string][]geo.Point
-	grid       *geo.Grid
-	rawDensity metrics.Density
+	raw   *trace.Dataset
+	truth map[string][]geo.Point
+	// view is the raw half of every utility score (see metrics.RawView);
+	// each strategy scores its protected dataset against it in one pass.
+	view *metrics.RawView
 	// rawHash is the content hash of raw, set only when a cache is
 	// configured; pruning uses it to guarantee unchanged content is never
 	// pruned (see pruneRecord).
 	rawHash [trace.HashSize]byte
-	// traffic is the raw-side traffic-forecasting baseline; nil when the
-	// dataset spans fewer than two days (traffic utility is then 0).
-	traffic *trafficBaseline
-}
-
-// trafficBaseline is the strategy-independent half of the traffic-utility
-// metric: the train/test cut, the held-out actual counts and the error of
-// the forecaster trained on raw data.
-type trafficBaseline struct {
-	lastDay time.Time
-	actual  *metrics.TrafficCounts
-	baseMAE float64
 }
 
 // newEvalContext derives the shared analysis state from the raw dataset.
@@ -64,71 +53,23 @@ func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset) (*e
 		return nil, err
 	}
 	ec := &evalContext{
-		raw:        raw,
-		truth:      truth,
-		grid:       grid,
-		rawDensity: metrics.UserDensity(raw, grid),
+		raw:   raw,
+		truth: truth,
+		view:  metrics.NewRawView(raw, grid, m.cfg.TopK, lastDay(raw)),
 	}
 	if m.cache != nil {
 		ec.rawHash = raw.ContentHash()
 	}
-	ec.traffic = newTrafficBaseline(raw, grid)
 	return ec, nil
 }
 
-// newTrafficBaseline computes the raw-side traffic baseline, or nil when
-// the dataset cannot support the train/test split (single-day span, empty
-// halves, or an untrainable forecaster).
-func newTrafficBaseline(raw *trace.Dataset, grid *geo.Grid) *trafficBaseline {
-	start, end, ok := raw.TimeSpan()
-	if !ok {
-		return nil
-	}
+// lastDay is the train/test cut of the traffic-utility score: the UTC
+// midnight that opens the dataset's last day, which is held out. On a
+// single-day dataset nothing starts before it and traffic utility is 0.
+func lastDay(raw *trace.Dataset) time.Time {
+	_, end, _ := raw.TimeSpan()
 	endEve := end.Add(-time.Nanosecond) // an end exactly at midnight belongs to the previous day
-	lastDay := time.Date(endEve.Year(), endEve.Month(), endEve.Day(), 0, 0, 0, 0, time.UTC)
-	if !lastDay.After(start) {
-		return nil // single-day dataset
-	}
-	rawTrain, rawTest := metrics.SplitAtDay(raw, lastDay)
-	if rawTrain.Len() == 0 || rawTest.Len() == 0 {
-		return nil
-	}
-	actual := metrics.CountTraffic(rawTest, grid)
-	baseF, err := metrics.NewForecaster(metrics.CountTraffic(rawTrain, grid))
-	if err != nil {
-		return nil
-	}
-	return &trafficBaseline{
-		lastDay: lastDay,
-		actual:  actual,
-		baseMAE: baseF.Evaluate(actual).MAE,
-	}
-}
-
-// trafficUtility trains a forecaster on the protected data before the
-// baseline's train/test cut and compares its error on the held-out raw day.
-// Returns 0 when the baseline is unavailable.
-func (ec *evalContext) trafficUtility(prot *trace.Dataset) float64 {
-	if ec.traffic == nil {
-		return 0
-	}
-	protTrain, _ := metrics.SplitAtDay(prot, ec.traffic.lastDay)
-	if protTrain.Len() == 0 {
-		return 0
-	}
-	protF, err := metrics.NewForecaster(metrics.CountTraffic(protTrain, ec.grid))
-	if err != nil {
-		return 0
-	}
-	protMAE := protF.Evaluate(ec.traffic.actual).MAE
-	if protMAE == 0 {
-		return 1
-	}
-	u := ec.traffic.baseMAE / protMAE
-	if u > 1 {
-		u = 1
-	}
-	return u
+	return time.Date(endEve.Year(), endEve.Month(), endEve.Day(), 0, 0, 0, 0, time.UTC)
 }
 
 // winner tracks the best floor-meeting outcome seen so far, retaining only
@@ -181,10 +122,11 @@ func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lp
 	if err := ctx.Err(); err != nil {
 		return Evaluation{}, nil, err
 	}
+	score := ec.view.Score(prot)
 	ev = Evaluation{
 		Strategy: s.Name(),
 		Released: prot.Len(),
-		Coverage: metrics.Coverage(ec.raw, prot, ec.grid),
+		Coverage: score.Coverage,
 	}
 	if rec, ok := m.loadPruneRecord(pruneKey, ev.Strategy); ok && rec.Hash != ec.rawHash &&
 		rec.Released <= ev.Released && rec.Coverage <= ev.Coverage {
@@ -196,15 +138,15 @@ func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lp
 		sp.SetAttr(otrace.Bool("pruned", true))
 		return ev, nil, nil
 	}
-	// The attack is the expensive half of an evaluation; its own span makes
-	// the prune/cache savings visible on the timeline.
+	// The attack's own span makes the prune/cache savings visible on the
+	// timeline.
 	_, asp := m.cfg.Tracer.Start(ctx, "core.attack")
 	ev.Privacy = m.recovery.Run(ec.truth, prot)
 	asp.End()
 	ev.MeetsFloor = ev.Privacy.F1() <= m.cfg.MaxPOIExposure
-	ev.HotspotOverlap = metrics.TopKOverlap(ec.rawDensity, metrics.UserDensity(prot, ec.grid), m.cfg.TopK)
-	ev.TrafficUtility = ec.trafficUtility(prot)
-	ev.Distortion = metrics.SpatialDistortion(ec.raw, prot)
+	ev.HotspotOverlap = score.HotspotOverlap
+	ev.TrafficUtility = score.TrafficUtility
+	ev.Distortion = score.Distortion
 	switch m.cfg.Objective {
 	case ObjectiveTraffic:
 		ev.Utility = ev.TrafficUtility

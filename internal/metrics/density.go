@@ -9,8 +9,9 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"apisense/internal/geo"
 	"apisense/internal/trace"
@@ -22,21 +23,10 @@ type Density map[geo.Cell]float64
 // UserDensity counts the number of distinct users seen in each cell — the
 // "crowded places" measure of the paper.
 func UserDensity(d *trace.Dataset, g *geo.Grid) Density {
-	seen := make(map[geo.Cell]map[string]bool)
-	for _, t := range d.Trajectories {
-		for _, r := range t.Records {
-			c := g.CellOf(r.Pos)
-			users, ok := seen[c]
-			if !ok {
-				users = make(map[string]bool)
-				seen[c] = users
-			}
-			users[t.User] = true
-		}
-	}
-	out := make(Density, len(seen))
-	for c, users := range seen {
-		out[c] = float64(len(users))
+	scored := tallyCells(d, g, false).scored()
+	out := make(Density, len(scored))
+	for _, s := range scored {
+		out[s.cell] = s.score
 	}
 	return out
 }
@@ -52,26 +42,54 @@ func FixDensity(d *trace.Dataset, g *geo.Grid) Density {
 	return out
 }
 
+// scoredCell is one entry of a density in the form the ranking works on.
+type scoredCell struct {
+	cell  geo.Cell
+	score float64
+}
+
+// compareScored orders cells densest first, ties broken by cell
+// coordinates.
+func compareScored(a, b scoredCell) int {
+	if a.score != b.score {
+		if a.score > b.score {
+			return -1
+		}
+		return 1
+	}
+	return compareCell(a.cell, b.cell)
+}
+
+// topCells sorts cells by compareScored and keeps the first k.
+func topCells(cells []scoredCell, k int) []scoredCell {
+	slices.SortFunc(cells, compareScored)
+	return cells[:min(k, len(cells))]
+}
+
+func topDensity(den Density, k int) []scoredCell {
+	cells := make([]scoredCell, 0, len(den))
+	for c, score := range den {
+		cells = append(cells, scoredCell{cell: c, score: score})
+	}
+	slices.SortFunc(cells, compareScored) // here, not in topCells, where detrange can see it
+	return cells[:min(k, len(cells))]
+}
+
+func compareCell(a, b geo.Cell) int {
+	if a.Row != b.Row {
+		return cmp.Compare(a.Row, b.Row)
+	}
+	return cmp.Compare(a.Col, b.Col)
+}
+
 // TopK returns the k densest cells, ties broken deterministically by cell
 // coordinates. It returns fewer than k cells when the density has fewer
 // non-zero entries.
 func TopK(den Density, k int) []geo.Cell {
-	cells := make([]geo.Cell, 0, len(den))
-	for c := range den {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if den[a] != den[b] {
-			return den[a] > den[b]
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
-	if len(cells) > k {
-		cells = cells[:k]
+	top := topDensity(den, k)
+	cells := make([]geo.Cell, len(top))
+	for i, s := range top {
+		cells[i] = s.cell
 	}
 	return cells
 }
@@ -84,18 +102,25 @@ func TopKOverlap(raw, protected Density, k int) float64 {
 	if k <= 0 {
 		return 0
 	}
-	a := TopK(raw, k)
-	b := TopK(protected, k)
+	return topOverlap(cellSet(topDensity(raw, k)), topDensity(protected, k))
+}
+
+func cellSet(cells []scoredCell) map[geo.Cell]bool {
+	set := make(map[geo.Cell]bool, len(cells))
+	for _, s := range cells {
+		set[s.cell] = true
+	}
+	return set
+}
+
+// topOverlap is the F1 overlap of two top-k lists, the first given as a set.
+func topOverlap(a map[geo.Cell]bool, b []scoredCell) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	set := make(map[geo.Cell]bool, len(a))
-	for _, c := range a {
-		set[c] = true
-	}
 	var inter int
-	for _, c := range b {
-		if set[c] {
+	for _, s := range b {
+		if a[s.cell] {
 			inter++
 		}
 	}
@@ -105,18 +130,18 @@ func TopKOverlap(raw, protected Density, k int) float64 {
 // Coverage returns the fraction of cells visited in the raw dataset that
 // are also visited in the protected release.
 func Coverage(raw, protected *trace.Dataset, g *geo.Grid) float64 {
-	rd := FixDensity(raw, g)
-	if len(rd) == 0 {
+	rc := tallyCells(raw, g, false)
+	pc := newCellTally(g, rc.extra, rc.extraIdx)
+	pc.addDataset(protected, false)
+	return coverage(pc)
+}
+
+// coverage is the visited share of the tally's base cells.
+func coverage(c *cellTally) float64 {
+	if len(c.base) == 0 {
 		return 0
 	}
-	pd := FixDensity(protected, g)
-	var kept int
-	for c := range rd {
-		if pd[c] > 0 {
-			kept++
-		}
-	}
-	return float64(kept) / float64(len(rd))
+	return float64(c.baseVisited()) / float64(len(c.base))
 }
 
 // HotspotReport is a printable summary of crowd-density utility.

@@ -60,12 +60,7 @@ func TopFlows(m map[Flow]float64, k int) []Flow {
 	return flows
 }
 
-func lessCell(a, b geo.Cell) bool {
-	if a.Row != b.Row {
-		return a.Row < b.Row
-	}
-	return a.Col < b.Col
-}
+func lessCell(a, b geo.Cell) bool { return compareCell(a, b) < 0 }
 
 // FlowSimilarity compares two flow matrices with cosine similarity over
 // the union of flows: 1 means the protected release preserves the

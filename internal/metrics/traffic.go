@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -28,44 +30,41 @@ type TrafficCounts struct {
 
 // CountTraffic builds traffic counts for the dataset on the given grid.
 func CountTraffic(d *trace.Dataset, g *geo.Grid) *TrafficCounts {
-	tc := &TrafficCounts{
-		Visits: make(map[CellHour]map[string]float64),
-		Days:   make(map[string]bool),
+	return tallyCells(d, g, true).trafficCounts()
+}
+
+// hourMean is the mean visit count of one cell-hour. The forecaster and its
+// evaluation work on slices of them sorted by cell-hour: float addition is
+// not associative, so errors are accumulated in that one order to keep
+// reports byte-identical from run to run.
+type hourMean struct {
+	ch CellHour
+	v  float64
+}
+
+func compareCellHour(a, b CellHour) int {
+	if a.Cell != b.Cell {
+		return compareCell(a.Cell, b.Cell)
 	}
-	type visitKey struct {
-		ch   CellHour
-		day  string
-		user string
+	return cmp.Compare(a.Hour, b.Hour)
+}
+
+// hourlyMeans averages counts over their observed days, sorted by
+// cell-hour.
+func hourlyMeans(tc *TrafficCounts) []hourMean {
+	out := make([]hourMean, 0, len(tc.Visits))
+	for ch, byDay := range tc.Visits {
+		out = append(out, hourMean{ch: ch, v: sumByDay(byDay) / float64(len(tc.Days))})
 	}
-	seen := make(map[visitKey]bool)
-	for _, t := range d.Trajectories {
-		for _, r := range t.Records {
-			utc := r.Time.UTC()
-			ch := CellHour{Cell: g.CellOf(r.Pos), Hour: utc.Hour()}
-			day := utc.Format("2006-01-02")
-			k := visitKey{ch: ch, day: day, user: t.User}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			tc.Days[day] = true
-			byDay, ok := tc.Visits[ch]
-			if !ok {
-				byDay = make(map[string]float64)
-				tc.Visits[ch] = byDay
-			}
-			byDay[day]++
-		}
-	}
-	return tc
+	slices.SortFunc(out, func(a, b hourMean) int { return compareCellHour(a.ch, b.ch) })
+	return out
 }
 
 // Forecaster predicts per-(cell,hour) visit counts as the historical mean
 // over the training days — the standard baseline for urban traffic
 // prediction and the data-mining task of the paper's claim C3.
 type Forecaster struct {
-	mean map[CellHour]float64
-	days int
+	means []hourMean // sorted by cell-hour
 }
 
 // NewForecaster trains a historical-average forecaster from counts.
@@ -73,11 +72,7 @@ func NewForecaster(tc *TrafficCounts) (*Forecaster, error) {
 	if len(tc.Days) == 0 {
 		return nil, fmt.Errorf("metrics: no training days")
 	}
-	f := &Forecaster{mean: make(map[CellHour]float64, len(tc.Visits)), days: len(tc.Days)}
-	for ch, byDay := range tc.Visits {
-		f.mean[ch] = sumByDay(byDay) / float64(len(tc.Days))
-	}
-	return f, nil
+	return &Forecaster{means: hourlyMeans(tc)}, nil
 }
 
 // sumByDay adds per-day counts in day order: float addition is not
@@ -98,7 +93,15 @@ func sumByDay(byDay map[string]float64) float64 {
 }
 
 // Predict returns the expected visit count for a cell-hour.
-func (f *Forecaster) Predict(ch CellHour) float64 { return f.mean[ch] }
+func (f *Forecaster) Predict(ch CellHour) float64 {
+	i, ok := slices.BinarySearchFunc(f.means, ch, func(m hourMean, ch CellHour) int {
+		return compareCellHour(m.ch, ch)
+	})
+	if !ok {
+		return 0
+	}
+	return f.means[i].v
+}
 
 // ForecastError summarises forecast accuracy over a test day.
 type ForecastError struct {
@@ -120,48 +123,50 @@ func (f *Forecaster) Evaluate(actual *TrafficCounts) ForecastError {
 	if len(actual.Days) == 0 {
 		return ForecastError{}
 	}
-	// Average actual per cell-hour across the test days.
-	act := make(map[CellHour]float64, len(actual.Visits))
-	for ch, byDay := range actual.Visits {
-		act[ch] = sumByDay(byDay) / float64(len(actual.Days))
-	}
-	// Score the union of active cell-hours in a stable order (see
-	// sumByDay for why accumulation order matters).
-	evaluated := make(map[CellHour]bool, len(act)+len(f.mean))
-	chs := make([]CellHour, 0, len(act)+len(f.mean))
-	collect := func(ch CellHour) {
-		if !evaluated[ch] {
-			evaluated[ch] = true
-			chs = append(chs, ch)
-		}
-	}
-	for ch := range act {
-		collect(ch)
-	}
-	for ch := range f.mean {
-		collect(ch)
-	}
-	sort.Slice(chs, func(i, j int) bool {
-		a, b := chs[i], chs[j]
-		if a.Cell.Row != b.Cell.Row {
-			return a.Cell.Row < b.Cell.Row
-		}
-		if a.Cell.Col != b.Cell.Col {
-			return a.Cell.Col < b.Cell.Col
-		}
-		return a.Hour < b.Hour
-	})
+	return forecastError(f.means, hourlyMeans(actual))
+}
+
+// forecastError scores predicted against actual means over the union of
+// their cell-hours, a missing side counting as zero. Both are sorted by
+// cell-hour and the errors are accumulated in that order.
+func forecastError(pred, act []hourMean) ForecastError {
 	var absSum, sqSum float64
-	for _, ch := range chs {
-		diff := f.Predict(ch) - act[ch]
+	var n, i, j int
+	for i < len(pred) || j < len(act) {
+		var p, a float64
+		switch c := compareHeads(pred[i:], act[j:]); {
+		case c < 0:
+			p = pred[i].v
+			i++
+		case c > 0:
+			a = act[j].v
+			j++
+		default:
+			p, a = pred[i].v, act[j].v
+			i++
+			j++
+		}
+		diff := p - a
 		absSum += math.Abs(diff)
 		sqSum += diff * diff
+		n++
 	}
-	n := len(chs)
 	if n == 0 {
 		return ForecastError{}
 	}
 	return ForecastError{MAE: absSum / float64(n), RMSE: math.Sqrt(sqSum / float64(n)), Cells: n}
+}
+
+// compareHeads orders the first cell-hours of two sorted lists that are not
+// both empty; an exhausted list sorts last.
+func compareHeads(a, b []hourMean) int {
+	switch {
+	case len(b) == 0:
+		return -1
+	case len(a) == 0:
+		return 1
+	}
+	return compareCellHour(a[0].ch, b[0].ch)
 }
 
 // SplitAtDay partitions a dataset into trajectories starting before the cut

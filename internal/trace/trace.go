@@ -121,12 +121,13 @@ func (t *Trajectory) SplitDays(loc *time.Location) []*Trajectory {
 	}
 	var out []*Trajectory
 	var cur *Trajectory
-	var curDay string
+	var curYear, curDay int
+	var curMonth time.Month
 	for _, r := range t.Records {
-		day := r.Time.In(loc).Format("2006-01-02")
-		if cur == nil || day != curDay {
+		year, month, day := r.Time.In(loc).Date()
+		if cur == nil || day != curDay || month != curMonth || year != curYear {
 			cur = &Trajectory{User: t.User}
-			curDay = day
+			curYear, curMonth, curDay = year, month, day
 			out = append(out, cur)
 		}
 		cur.Records = append(cur.Records, r)
@@ -147,16 +148,22 @@ func (t *Trajectory) At(ts time.Time) (geo.Point, bool) {
 	}
 	// Binary search for the segment containing ts.
 	i := sort.Search(n, func(i int) bool { return !t.Records[i].Time.Before(ts) })
+	return t.interpolate(i, ts), true
+}
+
+// interpolate returns the position at ts given i, the index of the first
+// record not before ts.
+func (t *Trajectory) interpolate(i int, ts time.Time) geo.Point {
 	if i == 0 {
-		return t.Records[0].Pos, true
+		return t.Records[0].Pos
 	}
 	prev, next := t.Records[i-1], t.Records[i]
 	span := next.Time.Sub(prev.Time)
 	if span <= 0 {
-		return next.Pos, true
+		return next.Pos
 	}
 	frac := float64(ts.Sub(prev.Time)) / float64(span)
-	return geo.Lerp(prev.Pos, next.Pos, frac), true
+	return geo.Lerp(prev.Pos, next.Pos, frac)
 }
 
 // Resample returns a copy of the trajectory sampled at the fixed period.
@@ -170,12 +177,15 @@ func (t *Trajectory) Resample(period time.Duration) (*Trajectory, error) {
 	if len(t.Records) < 2 {
 		return out, nil
 	}
-	for ts := t.Records[0].Time; !ts.After(t.Records[len(t.Records)-1].Time); ts = ts.Add(period) {
-		pos, ok := t.At(ts)
-		if !ok {
-			break
+	first, last := t.Records[0].Time, t.Records[len(t.Records)-1].Time
+	// Samples are taken in time order, so the first record not before the
+	// sample only ever moves forward.
+	i := 0
+	for ts := first; !ts.After(last); ts = ts.Add(period) {
+		for t.Records[i].Time.Before(ts) {
+			i++
 		}
-		out.Records = append(out.Records, Record{Time: ts, Pos: pos})
+		out.Records = append(out.Records, Record{Time: ts, Pos: t.interpolate(i, ts)})
 	}
 	return out, nil
 }

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
+	_ "time/tzdata" // TestSplitDaysAcrossDST needs Europe/Paris on any host
 
 	"apisense/internal/geo"
 )
@@ -125,6 +127,33 @@ func TestResample(t *testing.T) {
 	}
 }
 
+// TestResampleMatchesAt: the forward cursor yields, sample for sample, what
+// a fresh At lookup yields — on uneven gaps, repeated timestamps and periods
+// both finer and coarser than the fixes.
+func TestResampleMatchesAt(t *testing.T) {
+	tr := &Trajectory{User: "alice"}
+	for i, off := range []time.Duration{0, 7, 7, 7, 30, 31, 90, 600, 601, 601, 1000} {
+		tr.Records = append(tr.Records, Record{Time: t0.Add(off * time.Second), Pos: geo.Translate(lyon, float64(i*i)*10, float64(i)*5)})
+	}
+	for _, period := range []time.Duration{time.Second, 7 * time.Second, 45 * time.Second, 400 * time.Second, time.Hour} {
+		rs, err := tr.Resample(period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Record
+		for ts := t0; !ts.After(t0.Add(1000 * time.Second)); ts = ts.Add(period) {
+			pos, ok := tr.At(ts)
+			if !ok {
+				t.Fatalf("At(%v) inside the span not ok", ts)
+			}
+			want = append(want, Record{Time: ts, Pos: pos})
+		}
+		if !reflect.DeepEqual(rs.Records, want) {
+			t.Errorf("period %v: Resample = %v, want %v", period, rs.Records, want)
+		}
+	}
+}
+
 func TestSpeeds(t *testing.T) {
 	tr := walkTrajectory("alice", 6, 3, 10*time.Second)
 	for _, v := range tr.Speeds() {
@@ -158,6 +187,49 @@ func TestSplitDays(t *testing.T) {
 	}
 	if got := (&Trajectory{}).SplitDays(nil); got != nil {
 		t.Errorf("SplitDays on empty = %v, want nil", got)
+	}
+}
+
+// TestSplitDaysAcrossDST: days are calendar days of the given location, on
+// the 25-hour day that ends summer time, the 23-hour day that starts it and
+// across a year end; the split equals grouping by the formatted local date.
+func TestSplitDaysAcrossDST(t *testing.T) {
+	paris, err := time.LoadLocation("Europe/Paris")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []time.Time{
+		time.Date(2014, 10, 25, 20, 0, 0, 0, paris), // 26 Oct 2014: 03:00 -> 02:00
+		time.Date(2015, 3, 28, 20, 0, 0, 0, paris),  // 29 Mar 2015: 02:00 -> 03:00
+		time.Date(2014, 12, 30, 20, 0, 0, 0, paris),
+	} {
+		tr := &Trajectory{User: "dave"}
+		for i := 0; i < 60*4; i++ { // 60 h, a fix every 15 min
+			tr.Records = append(tr.Records, Record{Time: start.Add(time.Duration(i) * 15 * time.Minute).UTC(), Pos: lyon})
+		}
+		var want [][]Record
+		var day string
+		for _, r := range tr.Records {
+			if d := r.Time.In(paris).Format("2006-01-02"); d != day {
+				day = d
+				want = append(want, nil)
+			}
+			want[len(want)-1] = append(want[len(want)-1], r)
+		}
+		got := tr.SplitDays(paris)
+		if len(got) != len(want) || len(want) != 4 {
+			t.Fatalf("from %v: SplitDays = %d days, want %d (4)", start, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i].Records, want[i]) {
+				t.Errorf("from %v: day %d has %d records, want %d", start, i, len(got[i].Records), len(want[i]))
+			}
+		}
+		// The same instants split differently in UTC: local midnight is
+		// 22:00 or 23:00 UTC.
+		if utc := tr.SplitDays(nil); reflect.DeepEqual(utc[0].Records, got[0].Records) {
+			t.Errorf("from %v: UTC and Paris days coincide", start)
+		}
 	}
 }
 
