@@ -370,41 +370,28 @@ type (
 // NewHive creates an empty Hive.
 func NewHive() *Hive { return hive.New() }
 
-// RecoverHive replays a journal file into a Hive and reopens it for
-// appending, making the service restart-safe. It is shorthand for
-// OpenJournalStore + RecoverHiveFrom.
-var RecoverHive = hive.Recover
-
-// Storage engine types. A HiveStore persists the Hive's event history;
-// three engines trade recovery cost against layout complexity (see
+// The storage engine. A HiveStore persists the Hive's event history as a
+// snapshot plus rotating segment files, one tail per commit shard (see
 // internal/hive/store).
 type (
-	// HiveStore is the pluggable storage engine behind a Hive.
+	// HiveStore is the storage engine behind a Hive.
 	HiveStore = store.Store
 	// HiveStoreStats is a point-in-time snapshot of store health
 	// (segments, fsyncs, snapshot age, replay cost).
 	HiveStoreStats = store.Stats
-	// SegmentedStoreConfig tunes the snapshot+tail compacting engine.
+	// SegmentedStoreConfig sizes the engine: segment size, fold
+	// frequency, commit shards.
 	SegmentedStoreConfig = store.SegmentedConfig
-	// ShardedStoreConfig tunes the per-task sharded engine.
-	ShardedStoreConfig = store.ShardedConfig
 )
 
-// OpenJournalStore opens the single-file journal engine (full replay on
-// recovery; the original format, kept for compatibility).
-var OpenJournalStore = store.OpenJournal
-
-// OpenSegmentedStore opens the segmented compacting engine: the log
-// rotates at a size threshold and folds into snapshots, so recovery cost
-// is bounded by the tail instead of total history.
+// OpenSegmentedStore opens the storage engine on a directory: each
+// shard's tail rotates at a size threshold and sealed history folds into
+// snapshots, so recovery cost is bounded by the tails instead of total
+// history.
 var OpenSegmentedStore = store.OpenSegmented
 
-// OpenShardedStore opens the sharded engine: uploads for different tasks
-// commit on independent per-shard fsync boundaries.
-var OpenShardedStore = store.OpenSharded
-
-// RecoverHiveFrom replays any storage engine into a Hive and attaches
-// the store for further appends.
+// RecoverHiveFrom replays a freshly opened store into a Hive and
+// attaches it for further appends, making the service restart-safe.
 var RecoverHiveFrom = hive.RecoverFrom
 
 // NewHiveServer wraps a Hive with its HTTP API; pass WithIngestQueue to

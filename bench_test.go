@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -296,7 +295,11 @@ func BenchmarkIngestBatch(b *testing.B) {
 
 	setup := func(b *testing.B, withQueue bool) (*transport.Client, transport.Upload, func()) {
 		b.Helper()
-		h, j, err := hive.Recover(filepath.Join(b.TempDir(), "hive.journal"))
+		j, err := store.OpenSegmented(b.TempDir(), store.SegmentedConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := hive.RecoverFrom(j)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,23 +418,23 @@ func seedHeartbeatHistory(b *testing.B, s store.Store, beats int) {
 }
 
 // BenchmarkRecover measures restart cost on a heartbeat-heavy history
-// whose live state is far smaller than its event log. The journal engine
-// replays every record ever written, so its recovery grows with total
-// history; the segmented engine restores the latest snapshot and replays
+// whose live state is far smaller than its event log. A store that never
+// folds replays every record ever written, so its recovery grows with
+// total history; one that folds restores the latest snapshot and replays
 // only the tail, so its recovery stays bounded by the rotation threshold.
-// The tracked ratio is journal ns/op over segmented ns/op (>= 5x here:
-// the seeded history is >= 10x the segmented tail).
+// The tracked ratio is never-fold ns/op over fold ns/op (>= 5x here: the
+// seeded history is >= 10x the folded store's tail).
 func BenchmarkRecover(b *testing.B) {
 	const beats = 12000
 	engines := []struct {
 		name string
 		open func(dir string) (store.Store, error)
 	}{
-		{"journal", func(dir string) (store.Store, error) {
-			return store.OpenJournal(filepath.Join(dir, "hive.journal"))
+		{"never-fold", func(dir string) (store.Store, error) {
+			return store.OpenSegmented(dir, store.SegmentedConfig{SnapshotEvery: 1 << 30})
 		}},
-		{"segmented", func(dir string) (store.Store, error) {
-			return store.OpenSegmented(filepath.Join(dir, "seg"), store.SegmentedConfig{
+		{"fold", func(dir string) (store.Store, error) {
+			return store.OpenSegmented(dir, store.SegmentedConfig{
 				SegmentBytes: 32 << 10, SnapshotEvery: 2,
 			})
 		}},
@@ -466,26 +469,15 @@ func BenchmarkRecover(b *testing.B) {
 
 // BenchmarkShardedIngest measures group-commit throughput under a
 // two-hot-task workload: two goroutines each push b.N batches for their
-// own task, every batch a durable group commit. On the single-file
-// journal both tasks serialise on one fsync boundary; on the sharded
-// engine the task IDs hash to different shards, so their commits overlap
-// and per-op latency drops. One op = one batch from each hot task.
+// own task, every batch a durable group commit. At one commit shard both
+// tasks serialise on one fsync boundary; at eight the task IDs hash to
+// different shards, so their commits overlap and per-op latency drops.
+// One op = one batch from each hot task.
 func BenchmarkShardedIngest(b *testing.B) {
 	const perBatch = 8
-	engines := []struct {
-		name string
-		open func(dir string) (store.Store, error)
-	}{
-		{"journal", func(dir string) (store.Store, error) {
-			return store.OpenJournal(filepath.Join(dir, "hive.journal"))
-		}},
-		{"sharded", func(dir string) (store.Store, error) {
-			return store.OpenSharded(filepath.Join(dir, "shard"), store.ShardedConfig{Shards: 8})
-		}},
-	}
-	for _, eng := range engines {
-		b.Run(eng.name, func(b *testing.B) {
-			s, err := eng.open(b.TempDir())
+	for _, shards := range []int{1, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			s, err := store.OpenSegmented(b.TempDir(), store.SegmentedConfig{Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -509,8 +501,8 @@ func BenchmarkShardedIngest(b *testing.B) {
 				return spec.ID
 			}
 			hotA, hotB := publish("hot-0"), publish("hot-1")
-			// On the sharded engine the two hot tasks must land on distinct
-			// commit shards for the comparison to mean anything.
+			// With several shards the two hot tasks must land on distinct
+			// ones for the comparison to mean anything.
 			for i := 2; s.Shards() > 1 && s.ShardFor(hotB) == s.ShardFor(hotA); i++ {
 				if i > 64 {
 					b.Fatal("no second task landed on a distinct shard")

@@ -64,14 +64,14 @@ var suite = []scoped{
 	// The error taxonomy guards the HTTP/wire boundary, including the
 	// ingest queue whose sentinels surface as 429/413/503 responses.
 	// under() scoping is recursive, so internal/hive includes the
-	// internal/hive/store engines and their store.* sentinel codes.
+	// internal/hive/store engine and its store.* sentinel codes.
 	{errcode.Analyzer, under("apisense/internal/hive", "apisense/internal/transport",
 		"apisense/internal/ingest")},
 	// The operator-facing packages are documentation surface: every
 	// export is cited by docs/OPERATIONS.md or docs/ARCHITECTURE.md, so
 	// an undocumented one is a runbook hole. Includes internal/hive/store
-	// (the storage engines operators pick with -store). `make docs` runs
-	// exactly this scope.
+	// (the storage engine operators size with -segment-mb, -snapshot-every
+	// and -store-shards). `make docs` runs exactly this scope.
 	{doccomment.Analyzer, under("apisense/internal/hive", "apisense/internal/ingest",
 		"apisense/internal/core", "apisense/internal/obs", "apisense/internal/apierr",
 		"apisense/internal/otrace")},

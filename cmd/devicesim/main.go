@@ -5,7 +5,7 @@
 // -batch uploads; when the Hive's ingest queue pushes back with 429 the
 // flush retries with jittered backoff. By default each device executes a
 // task once; -repeat re-executes assigned tasks on every poll, producing
-// sustained multi-task ingest (useful for exercising the sharded store).
+// sustained multi-task ingest (useful for exercising a store with several commit shards).
 //
 // With -metrics ADDR the simulator serves its own Prometheus text
 // endpoint (fleet size, executed tasks, accepted/rejected uploads,

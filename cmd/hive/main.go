@@ -1,12 +1,13 @@
 // Command hive runs the central APISENSE Hive service: device registry,
 // task publication and dataset ingestion, exposed over HTTP/JSON.
 //
-// Durability is pluggable (-store): the single-file journal replays full
-// history at startup; the segmented engine rotates its log at -segment-mb
-// and folds history into snapshots every -snapshot-every sealed segments,
-// so restart cost stays bounded by the tail; the sharded engine commits
-// uploads for different tasks on -store-shards independent fsync
-// boundaries, so hot tasks never serialise on one descriptor.
+// Durable state lives in the store directory named by -journal: a log
+// that rotates at -segment-mb and folds into a snapshot every
+// -snapshot-every sealed segments, so restart cost stays bounded by the
+// tail, and that commits uploads for different tasks on -store-shards
+// independent fsync boundaries, so hot tasks need not serialise on one
+// descriptor. A single-file journal of earlier releases is adopted with
+// `mkdir d && mv hive.journal d/seg-00000000.log`.
 //
 // Ingestion is streamed through a bounded queue: uploads (single or
 // batched via POST /api/uploads/batch) are admitted by a pool of drain
@@ -32,8 +33,8 @@
 //
 // Usage:
 //
-//	hive [-addr :8080] [-journal hive.journal] [-store journal|segmented|sharded]
-//	     [-segment-mb 4] [-snapshot-every 4] [-store-shards 8] [-sync-every 1]
+//	hive [-addr :8080] [-journal hive.store]
+//	     [-segment-mb 4] [-snapshot-every 4] [-store-shards 1] [-sync-every 1]
 //	     [-queue 256] [-batch 256] [-drain-workers 1] [-metrics]
 //	     [-traces 512] [-log-requests info] [-debug-addr 127.0.0.1:6060]
 package main
@@ -66,38 +67,17 @@ func main() {
 	}
 }
 
-// openStore builds the storage engine selected by -store. For the
-// journal engine path is the log file; for segmented and sharded it is
-// the store directory.
-func openStore(engine, path string, segmentMB int, snapshotEvery, shards int) (store.Store, error) {
-	switch engine {
-	case store.EngineJournal:
-		return store.OpenJournal(path)
-	case store.EngineSegmented:
-		return store.OpenSegmented(path, store.SegmentedConfig{
-			SegmentBytes:  int64(segmentMB) << 20,
-			SnapshotEvery: snapshotEvery,
-		})
-	case store.EngineSharded:
-		return store.OpenSharded(path, store.ShardedConfig{Shards: shards})
-	default:
-		return nil, fmt.Errorf("unknown -store engine %q (want %s, %s or %s)",
-			engine, store.EngineJournal, store.EngineSegmented, store.EngineSharded)
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("hive", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	journal := fs.String("journal", "", "store path for durable state: a file for -store=journal, a directory otherwise (empty = in-memory only)")
-	engine := fs.String("store", store.EngineJournal, "storage engine: journal (single file, full replay), segmented (snapshot+tail, bounded restart) or sharded (per-task commit shards)")
-	segmentMB := fs.Int("segment-mb", 4, "segmented store: rotate the tail after this many MiB (raise to fold less often on write-heavy fleets)")
-	snapshotEvery := fs.Int("snapshot-every", 4, "segmented store: fold a snapshot after this many sealed segments")
-	storeShards := fs.Int("store-shards", 8, "sharded store: number of independent per-task commit shards")
-	syncEvery := fs.Int("sync-every", 1, "fsync each store file every N group commits (0 = never, leave it to the OS)")
+	journal := fs.String("journal", "", "store directory for durable state (empty = in-memory only)")
+	segmentMB := fs.Int("segment-mb", 4, "rotate a store tail after this many MiB (raise to fold less often on write-heavy fleets)")
+	snapshotEvery := fs.Int("snapshot-every", 4, "fold a snapshot after this many sealed segments")
+	storeShards := fs.Int("store-shards", 1, "number of independent per-task commit shards (may change between restarts)")
+	syncEvery := fs.Int("sync-every", 1, "fsync each store shard every N group commits (0 = never, leave it to the OS)")
 	queueSize := fs.Int("queue", 256, "ingest queue capacity in batch slots (0 = synchronous ingestion, no backpressure)")
 	maxBatch := fs.Int("batch", 256, "max uploads coalesced into one group commit")
-	drainWorkers := fs.Int("drain-workers", 1, "ingest drain worker pool size (with -store=sharded, more workers let distinct task shards commit in parallel)")
+	drainWorkers := fs.Int("drain-workers", 1, "ingest drain worker pool size (with -store-shards > 1, more workers let distinct task shards commit in parallel)")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 	metrics := fs.Bool("metrics", false, "expose Prometheus text metrics at GET /metrics")
 	traces := fs.Int("traces", 512, "bound of the in-memory trace store served at GET /debug/traces (0 = tracing off)")
@@ -124,7 +104,11 @@ func run(args []string) error {
 		st store.Store
 	)
 	if *journal != "" {
-		s, err := openStore(*engine, *journal, *segmentMB, *snapshotEvery, *storeShards)
+		s, err := store.OpenSegmented(*journal, store.SegmentedConfig{
+			SegmentBytes:  int64(*segmentMB) << 20,
+			SnapshotEvery: *snapshotEvery,
+			Shards:        *storeShards,
+		})
 		if err != nil {
 			return err
 		}
@@ -135,8 +119,8 @@ func run(args []string) error {
 		st = s
 		st.SetSyncEvery(*syncEvery)
 		ss := s.Stats()
-		log.Printf("recovered state from %s (%s engine): %+v; replayed %d records in %s",
-			*journal, ss.Engine, h.Stats(), ss.ReplayRecords, ss.ReplayDuration)
+		log.Printf("recovered state from %s (%d shards): %+v; replayed %d records in %s",
+			*journal, ss.Shards, h.Stats(), ss.ReplayRecords, ss.ReplayDuration)
 	} else {
 		h = hive.New()
 	}

@@ -88,7 +88,7 @@ type Hive struct {
 	// shard). Holding a task's shard lock also keeps its admitted uploads
 	// at the tail of the task slice until the commit outcome is known,
 	// which is what makes rollback a simple pop. Sized by AttachStore
-	// (one lock for single-shard engines and memory-only Hives).
+	// (one lock for a single-shard store and for memory-only Hives).
 	commit []sync.Mutex
 
 	// metaMu serialises registry mutations (register, unregister,
@@ -297,7 +297,7 @@ func (h *Hive) SubmitUpload(u transport.Upload) error {
 // ingest queue's drain workers feed.
 //
 // Concurrency: the batch locks only the commit shards its tasks map to,
-// so two batches for tasks on different shards of a sharded store admit
+// so two batches for tasks on different shards of the store admit
 // and fsync fully in parallel; batches touching the same task always
 // serialise (a task maps to one shard). h.mu is held only for the
 // in-memory admission, never across a disk sync.

@@ -6,14 +6,43 @@ import (
 	"path/filepath"
 	"testing"
 
+	"apisense/internal/hive/store"
 	"apisense/internal/transport"
 )
 
+// recoverDir opens the storage engine on dir at its defaults and recovers
+// a Hive from it.
+func recoverDir(dir string) (*Hive, *store.Segmented, error) {
+	s, err := store.OpenSegmented(dir, store.SegmentedConfig{})
+	if err != nil {
+		return nil, nil, wrapStoreErr(err)
+	}
+	h, err := RecoverFrom(s)
+	if err != nil {
+		s.Close()
+		return nil, nil, err
+	}
+	return h, s, nil
+}
+
+// journalDir returns a store directory holding content as its first
+// segment — a hand-written log, or what moving a single-file journal of
+// the retired engine into a directory leaves.
+func journalDir(t *testing.T, content []byte) (dir, seg string) {
+	t.Helper()
+	dir = t.TempDir()
+	seg = filepath.Join(dir, "seg-00000000.log")
+	if err := os.WriteFile(seg, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, seg
+}
+
 func TestJournalRecoverRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hive.journal")
+	path := filepath.Join(t.TempDir(), "store")
 
 	// First life: build some state.
-	h1, j1, err := Recover(path)
+	h1, j1, err := recoverDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +64,7 @@ func TestJournalRecoverRoundTrip(t *testing.T) {
 	}
 
 	// Second life: replay.
-	h2, j2, err := Recover(path)
+	h2, j2, err := recoverDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +103,8 @@ func TestJournalRecoverRoundTrip(t *testing.T) {
 }
 
 func TestRecoverMissingFileStartsEmpty(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fresh.journal")
-	h, j, err := Recover(path)
+	path := filepath.Join(t.TempDir(), "fresh")
+	h, j, err := recoverDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +114,12 @@ func TestRecoverMissingFileStartsEmpty(t *testing.T) {
 	}
 	// And it journals from the start.
 	must(t, h.RegisterDevice(deviceInfo("d1", "alice", 45.7, 4.8)))
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(path, "seg-00000000.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(data) == 0 {
-		t.Error("journal file empty after a mutation")
+		t.Error("first segment empty after a mutation")
 	}
 }
 
@@ -102,20 +131,14 @@ func TestRecoverMissingFileStartsEmpty(t *testing.T) {
 func TestRecoverRejectsCorruptJournal(t *testing.T) {
 	valid := `{"kind":"register","device":{"id":"d1","user":"alice"}}` + "\n"
 
-	path := filepath.Join(t.TempDir(), "bad.journal")
-	if err := os.WriteFile(path, []byte("{not json\n"+valid), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := Recover(path)
+	path, _ := journalDir(t, []byte("{not json\n"+valid))
+	_, _, err := recoverDir(path)
 	if !errors.Is(err, ErrCorruptJournal) {
 		t.Errorf("valid record after invalid bytes: err = %v, want ErrCorruptJournal", err)
 	}
 
-	unknown := filepath.Join(t.TempDir(), "unknown.journal")
-	if err := os.WriteFile(unknown, []byte(`{"kind":"martian"}`+"\n"+valid), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Recover(unknown); !errors.Is(err, ErrCorruptJournal) {
+	unknown, _ := journalDir(t, []byte(`{"kind":"martian"}`+"\n"+valid))
+	if _, _, err := recoverDir(unknown); !errors.Is(err, ErrCorruptJournal) {
 		t.Errorf("unknown event kind: err = %v, want ErrCorruptJournal", err)
 	}
 }
@@ -134,12 +157,9 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	for cut := 0; cut <= len(last); cut++ {
 		full := cut == len(last)
 		data := append(append([]byte(nil), prefix...), last[:cut]...)
-		path := filepath.Join(t.TempDir(), "torn.journal")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		path, seg := journalDir(t, data)
 
-		h, j, err := Recover(path)
+		h, j, err := recoverDir(path)
 		if err != nil {
 			t.Fatalf("cut=%d: recovery failed: %v", cut, err)
 		}
@@ -151,14 +171,17 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 			t.Errorf("cut=%d: devices = %d, want %d", cut, got, wantDevices)
 		}
 
-		// The torn bytes are gone from disk: the journal must accept new
+		// The torn bytes are gone from disk: the log must accept new
 		// appends at a clean boundary, and a second recovery must see the
 		// new event as valid.
+		if fi, err := os.Stat(seg); err != nil || (!full && fi.Size() != int64(len(prefix))) {
+			t.Errorf("cut=%d: segment is %d bytes after recovery (%v), want the torn bytes truncated to %d", cut, fi.Size(), err, len(prefix))
+		}
 		must(t, h.RegisterDevice(deviceInfo("d3", "carol", 45.7, 4.8)))
 		if err := j.Close(); err != nil {
 			t.Fatalf("cut=%d: close: %v", cut, err)
 		}
-		h2, j2, err := Recover(path)
+		h2, j2, err := recoverDir(path)
 		if err != nil {
 			t.Fatalf("cut=%d: second recovery failed: %v", cut, err)
 		}
@@ -175,8 +198,8 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 // a batch of uploads costs one fsync, not one per upload — and SyncEvery
 // widens the boundary further (0 disables, Close still syncs).
 func TestJournalGroupCommitSync(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sync.journal")
-	h, j, err := Recover(path)
+	path := filepath.Join(t.TempDir(), "sync")
+	h, j, err := recoverDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +209,8 @@ func TestJournalGroupCommitSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := j.Syncs()
+	syncs := func() uint64 { return j.Stats().Syncs }
+	base := syncs()
 	if base == 0 {
 		t.Fatal("register + publish performed no fsync")
 	}
@@ -199,13 +223,13 @@ func TestJournalGroupCommitSync(t *testing.T) {
 	for _, err := range h.SubmitBatch(ups) {
 		must(t, err)
 	}
-	if got := j.Syncs(); got != base+1 {
+	if got := syncs(); got != base+1 {
 		t.Errorf("syncs after batch = %d, want %d (one group commit)", got, base+1)
 	}
 
 	// Single uploads sync every boundary...
 	must(t, h.SubmitUpload(transport.Upload{TaskID: spec.ID, DeviceID: "d1"}))
-	if got := j.Syncs(); got != base+2 {
+	if got := syncs(); got != base+2 {
 		t.Errorf("syncs after single upload = %d, want %d", got, base+2)
 	}
 
@@ -214,11 +238,11 @@ func TestJournalGroupCommitSync(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		must(t, h.SubmitUpload(transport.Upload{TaskID: spec.ID, DeviceID: "d1"}))
 	}
-	if got := j.Syncs(); got != base+2 {
+	if got := syncs(); got != base+2 {
 		t.Errorf("syncs mid-window = %d, want %d (SyncEvery=3 not reached)", got, base+2)
 	}
 	must(t, h.SubmitUpload(transport.Upload{TaskID: spec.ID, DeviceID: "d1"}))
-	if got := j.Syncs(); got != base+3 {
+	if got := syncs(); got != base+3 {
 		t.Errorf("syncs at window boundary = %d, want %d", got, base+3)
 	}
 
@@ -227,7 +251,7 @@ func TestJournalGroupCommitSync(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		must(t, h.SubmitUpload(transport.Upload{TaskID: spec.ID, DeviceID: "d1"}))
 	}
-	if got := j.Syncs(); got != base+3 {
+	if got := syncs(); got != base+3 {
 		t.Errorf("syncs with SyncEvery=0 = %d, want %d", got, base+3)
 	}
 }
@@ -237,8 +261,8 @@ func TestJournalGroupCommitSync(t *testing.T) {
 // admitted item reports the failure — the store never claims more than
 // the caller was told.
 func TestSubmitBatchJournalFailureRollsBack(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "broken.journal")
-	h, j, err := Recover(path)
+	path := filepath.Join(t.TempDir(), "broken")
+	h, j, err := recoverDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +282,8 @@ func TestSubmitBatchJournalFailureRollsBack(t *testing.T) {
 		{TaskID: "task-9999", DeviceID: "d1"}, // rejected before the commit
 		{TaskID: spec.ID, DeviceID: "d1"},
 	})
-	if errs[0] == nil || errs[2] == nil {
-		t.Errorf("admitted items must report the journal failure: %v", errs)
+	if !errors.Is(errs[0], ErrJournalIO) || !errors.Is(errs[2], store.ErrIO) {
+		t.Errorf("admitted items must report the journal failure under both codes: %v", errs)
 	}
 	if !errors.Is(errs[1], ErrUnknownTask) {
 		t.Errorf("errs[1] = %v, want ErrUnknownTask", errs[1])
@@ -274,14 +298,11 @@ func TestSubmitBatchJournalFailureRollsBack(t *testing.T) {
 }
 
 func TestJournalSkipsBlankLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blank.journal")
 	content := `{"kind":"register","device":{"id":"d1","user":"alice","sensors":["gps"],"battery":90,"lat":45.7,"lon":4.8}}
 
 `
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	h, j, err := Recover(path)
+	path, _ := journalDir(t, []byte(content))
+	h, j, err := recoverDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func (m *Metrics) BindHive(h *Hive) {
 		"Durability barriers (fsync) issued by the storage engine, all files.",
 		func() float64 { return float64(stats().Syncs) })
 	m.reg.GaugeFunc("apisense_store_segments",
-		"Live log files of the storage engine (tail region + meta files).",
+		"Live log files of the storage engine (sealed segments + one tail per shard).",
 		func() float64 { return float64(stats().Segments) })
 	m.reg.GaugeFunc("apisense_store_log_bytes",
 		"Bytes in the live log files — what the next restart replays.",
@@ -127,7 +127,7 @@ func (m *Metrics) BindHive(h *Hive) {
 		"Records streamed by the last recovery.",
 		func() float64 { return float64(stats().ReplayRecords) })
 	shardSyncs := m.reg.CounterFuncVec("apisense_store_shard_fsyncs_total",
-		"Durability barriers (fsync) per data-plane commit shard.",
+		"Durability barriers (fsync) per commit shard (shard 0 also carries the control plane).",
 		"shard")
 	for i := 0; i < s.Shards(); i++ {
 		shard := i

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +23,7 @@ import (
 // queue, eval cache, metrics — and checks that GET /metrics serves the
 // documented series in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
-	h, j, err := Recover(filepath.Join(t.TempDir(), "hive.journal"))
+	h, j, err := recoverDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,24 +25,19 @@ var ErrJournalIO = apierr.New("hive.journal_io", apierr.Internal, "hive: journal
 // ErrCorruptJournal marks a persisted event or snapshot that cannot be
 // replayed: Recover wraps it around the offending record so callers can
 // distinguish corruption from I/O failures with errors.Is. Torn final
-// appends are NOT corruption — every engine truncates them away (see
+// appends are NOT corruption — the engine truncates them away (see
 // internal/hive/store). HTTP 500 (recovery never runs inside a request,
 // but the code keeps logs greppable).
 var ErrCorruptJournal = apierr.New("hive.corrupt_journal", apierr.Internal, "hive: corrupt journal event")
 
-// Journal is the single-file compatibility engine, re-exported so
-// existing callers of Recover keep their handle type. See
-// store.Journal.
-type Journal = store.Journal
-
-// StoreStats are the storage-engine gauges of an attached store (engine
-// name, segments, log bytes, per-shard fsyncs, snapshot and replay
-// timings).
+// StoreStats are the storage-engine gauges of an attached store
+// (segments, log bytes, per-shard fsyncs, snapshot and replay timings).
 type StoreStats = store.Stats
 
 // event is one log record. Exactly one payload field is set, selected by
-// Kind. The wire format is identical across all storage engines, which
-// is what lets them replay the same history to the same state.
+// Kind. The wire format has not changed since the first single-file
+// journal, which is what lets the engine adopt stores written by the
+// retired ones.
 type event struct {
 	Kind      string                `json:"kind"`
 	Device    *transport.DeviceInfo `json:"device,omitempty"`
@@ -61,10 +56,10 @@ const (
 )
 
 // snapshotState is the Hive's complete in-memory image, folded into an
-// immutable snapshot by the segmented engine. json.Marshal emits map
-// keys sorted and assignment sets are stored as sorted ID slices, so
-// encoding the same logical state always yields the same bytes —
-// engine-equality tests compare these images directly.
+// immutable snapshot by the storage engine. json.Marshal emits map keys
+// sorted and assignment sets are stored as sorted ID slices, so encoding
+// the same logical state always yields the same bytes — replay-equality
+// tests compare these images directly.
 type snapshotState struct {
 	Devices     map[string]transport.DeviceInfo `json:"devices"`
 	Tasks       map[string]transport.TaskSpec   `json:"tasks"`
@@ -191,7 +186,7 @@ func (h *Hive) appendMeta(s store.Store, e event) error {
 }
 
 // maybeSnapshot folds the registry into an engine snapshot when the
-// engine asks for one (segmented engine, after enough sealed segments).
+// engine asks for one (after enough sealed segments).
 // Mutators call it after releasing their locks; the fast path is one
 // atomic load. The fold quiesces every writer — metaMu plus all commit
 // locks, in order — so the encoded image covers exactly the records
@@ -271,7 +266,7 @@ func RecoverFrom(s store.Store) (*Hive, error) {
 
 // wrapStoreErr adds the hive-level error code matching a storage-engine
 // failure, so callers branching on the historical hive.journal_io /
-// hive.corrupt_journal codes keep working across engines.
+// hive.corrupt_journal codes keep working.
 func wrapStoreErr(err error) error {
 	switch {
 	case err == nil:
@@ -285,31 +280,13 @@ func wrapStoreErr(err error) error {
 	}
 }
 
-// Recover replays the single-file journal at path into a fresh Hive and
-// reopens it for appending, attaching it to the returned Hive. A missing
-// file yields an empty Hive with a fresh journal; a torn final line
-// (crash mid-append) is truncated away. This is the compatibility
-// constructor — use RecoverFrom with store.OpenSegmented or
-// store.OpenSharded for the other engines.
-func Recover(path string) (*Hive, *Journal, error) {
-	j, err := store.OpenJournal(path)
-	if err != nil {
-		return nil, nil, wrapStoreErr(err)
-	}
-	h, err := RecoverFrom(j)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, j, nil
-}
-
 // apply restores one event's effect without re-journalling it. Publication
 // events restore the stored recruitment verbatim instead of re-running
 // recruitment, so that replay is deterministic regardless of current state.
 // apply is validation-free (recovery restores whatever was accepted),
-// which also makes replay order-independent across per-task shard files:
-// only the relative order within one task's uploads and within the
-// registry events matters, and each lives in a single file.
+// which also makes replay order-independent across commit shards: only
+// the relative order within one task's uploads and within the registry
+// events matters, and the engine keeps each (see store.Segmented.Recover).
 func (h *Hive) apply(e event) error {
 	switch e.Kind {
 	case evRegister:

@@ -3,6 +3,7 @@ package hive
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -74,83 +75,144 @@ func stateImage(t *testing.T, s store.Store) []byte {
 	return img
 }
 
-// TestEnginesReplayIdenticalState: the same workload persisted through
-// each engine — including segmented folds mid-run — recovers to
-// byte-identical Hive state.
+// TestEnginesReplayIdenticalState: the same workload persisted at one
+// commit shard and at four, folding several times mid-run and never
+// folding, recovers to the byte-identical Hive state a memory-only Hive
+// reaches — in particular a post-fold recovery equals a never-folded one.
 func TestEnginesReplayIdenticalState(t *testing.T) {
-	dir := t.TempDir()
-	open := map[string]func() (store.Store, error){
-		store.EngineJournal: func() (store.Store, error) {
-			return store.OpenJournal(filepath.Join(dir, "hive.journal"))
-		},
-		store.EngineSegmented: func() (store.Store, error) {
-			// Tiny segments so the workload rotates and folds several times.
-			return store.OpenSegmented(filepath.Join(dir, "seg"), store.SegmentedConfig{SegmentBytes: 512, SnapshotEvery: 2})
-		},
-		store.EngineSharded: func() (store.Store, error) {
-			return store.OpenSharded(filepath.Join(dir, "shard"), store.ShardedConfig{Shards: 4})
-		},
+	mem := New()
+	canonicalWorkload(t, mem)
+	ref, err := mem.encodeState()
+	if err != nil || len(ref) == 0 {
+		t.Fatalf("reference state image: %d bytes, %v", len(ref), err)
 	}
 
-	images := make(map[string][]byte)
-	for name, mk := range open {
-		s, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := RecoverFrom(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		canonicalWorkload(t, h)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	for _, shards := range []int{1, 4} {
+		for _, folds := range []bool{true, false} {
+			// Tiny segments so the workload rotates many times.
+			cfg := store.SegmentedConfig{Shards: shards, SegmentBytes: 512, SnapshotEvery: 2}
+			if !folds {
+				cfg.SnapshotEvery = 1 << 20
+			}
+			t.Run(fmt.Sprintf("shards=%d/folds=%v", shards, folds), func(t *testing.T) {
+				dir := t.TempDir()
+				s, err := store.OpenSegmented(dir, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := RecoverFrom(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				canonicalWorkload(t, h)
+				st := s.Stats()
+				if folded := st.Snapshots > 0; folded != folds {
+					t.Errorf("first life folded %d times, want folds=%v", st.Snapshots, folds)
+				}
+				if !folds && st.Segments < 2*shards {
+					t.Errorf("first life left %d segments, want several per shard", st.Segments)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
 
-		s2, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		images[name] = stateImage(t, s2)
-	}
-
-	ref := images[store.EngineJournal]
-	if len(ref) == 0 {
-		t.Fatal("empty reference state image")
-	}
-	for name, img := range images {
-		if !bytes.Equal(img, ref) {
-			t.Errorf("engine %s state image differs from journal engine (%d vs %d bytes)", name, len(img), len(ref))
+				s2, err := store.OpenSegmented(dir, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if img := stateImage(t, s2); !bytes.Equal(img, ref) {
+					t.Errorf("recovered state image differs from the memory-only Hive's (%d vs %d bytes)", len(img), len(ref))
+				}
+			})
 		}
 	}
+}
 
-	// The segmented engine must actually have folded during the workload.
-	seg, err := open[store.EngineSegmented]()
+// TestLegacyStoreFixtures: stores written by the three retired engines
+// (testdata/stores, produced by canonicalWorkload at the last commit that
+// had them) are adopted as documented and recover, at one commit shard
+// and at four, to the byte-identical state image those engines held.
+func TestLegacyStoreFixtures(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "stores", "state.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecoverFrom(seg); err != nil {
+	// adopt copies a fixture into a fresh directory the way an operator
+	// would hand it to the engine.
+	adopt := map[string]func(t *testing.T, src, dir string){
+		// mkdir d && mv hive.journal d/seg-00000000.log
+		"journal": func(t *testing.T, src, dir string) {
+			copyFile(t, filepath.Join(src, "hive.journal"), filepath.Join(dir, "seg-00000000.log"))
+		},
+		// Both directory layouts open in place.
+		"segmented": copyDir,
+		"sharded":   copyDir,
+	}
+	for name, adopt := range adopt {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				dir := t.TempDir()
+				adopt(t, filepath.Join("testdata", "stores", name), dir)
+				// Twice: the second recovery reads what the first left,
+				// the sharded layout's one-shot conversion included.
+				for life := 0; life < 2; life++ {
+					s, err := store.OpenSegmented(dir, store.SegmentedConfig{Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := stateImage(t, s); !bytes.Equal(got, want) {
+						t.Errorf("life %d: recovered state image differs from the fixture's (%d vs %d bytes)", life, len(got), len(want))
+					}
+				}
+			})
+		}
+	}
+}
+
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := seg.Stats(); st.ReplayRecords == 0 && st.Snapshots == 0 {
-		t.Log("note: segmented engine replayed nothing and never folded") // folds happened in the first life; stats are per-life
-	}
-	if err := seg.Close(); err != nil {
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func copyDir(t *testing.T, src, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		copyFile(t, filepath.Join(src, e.Name()), filepath.Join(dir, e.Name()))
 	}
 }
 
 // TestRecoveredSegmentedHiveUnderConcurrentIngest (run with -race):
 // recover a Hive from a multi-segment store, land concurrent SubmitBatch
-// traffic on the new tail from one goroutine per task (plus concurrent
-// readers), and assert the final replayed state is byte-identical to the
-// single-file engine fed the same history.
+// traffic on the new tails from one goroutine per task (plus concurrent
+// readers), and assert the final replayed state is byte-identical to a
+// memory-only Hive fed the same history — at one commit shard without
+// folds, and at four with folds quiescing the committers mid-traffic.
 func TestRecoveredSegmentedHiveUnderConcurrentIngest(t *testing.T) {
-	segDir := filepath.Join(t.TempDir(), "seg")
-	openSeg := func() (store.Store, error) {
+	for _, cfg := range []store.SegmentedConfig{
 		// Small segments, no folds: recovery must walk multiple segments.
-		return store.OpenSegmented(segDir, store.SegmentedConfig{SegmentBytes: 256, SnapshotEvery: 1 << 20})
+		{Shards: 1, SegmentBytes: 256, SnapshotEvery: 1 << 20},
+		{Shards: 4, SegmentBytes: 256, SnapshotEvery: 2},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", cfg.Shards), func(t *testing.T) {
+			recoveredHiveUnderConcurrentIngest(t, cfg)
+		})
 	}
+}
+
+func recoveredHiveUnderConcurrentIngest(t *testing.T, cfg store.SegmentedConfig) {
+	segDir := filepath.Join(t.TempDir(), "seg")
+	openSeg := func() (store.Store, error) { return store.OpenSegmented(segDir, cfg) }
+	folds := cfg.SnapshotEvery < 1<<20
 
 	// First life: seed history across several segments.
 	s, err := openSeg()
@@ -162,14 +224,14 @@ func TestRecoveredSegmentedHiveUnderConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := canonicalWorkload(t, h)
-	if segs := s.Stats().Segments; segs < 2 {
+	if segs := s.Stats().Segments; !folds && segs < 2 {
 		t.Fatalf("first life produced %d segments, want a multi-segment store", segs)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Second life: recover, then hammer the new tail concurrently.
+	// Second life: recover, then hammer the new tails concurrently.
 	s, err = openSeg()
 	if err != nil {
 		t.Fatal(err)
@@ -209,20 +271,16 @@ func TestRecoveredSegmentedHiveUnderConcurrentIngest(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
+	if st := s.Stats(); folds && (st.Snapshots == 0 || st.SnapshotFailures != 0) {
+		t.Errorf("second life: %d folds, %d failed; want folds under traffic, none failing", st.Snapshots, st.SnapshotFailures)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reference: the identical history through the single-file engine,
+	// Reference: the identical history through a memory-only Hive,
 	// sequential, preserving each task's upload order.
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "ref.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, err := RecoverFrom(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hr := New()
 	refSpecs := canonicalWorkload(t, hr)
 	for ti, spec := range refSpecs {
 		for r := 0; r < rounds; r++ {
@@ -239,18 +297,15 @@ func TestRecoveredSegmentedHiveUnderConcurrentIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Third life: replay everything (old segments + concurrent tail).
+	// Third life: replay everything (old segments + concurrent tails).
 	s, err = openSeg()
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotImg := stateImage(t, s)
 	if !bytes.Equal(gotImg, refImg) {
-		t.Errorf("segmented state after concurrent ingest differs from single-file reference (%d vs %d bytes)", len(gotImg), len(refImg))
+		t.Errorf("state after concurrent ingest differs from the memory-only reference (%d vs %d bytes)", len(gotImg), len(refImg))
 	}
 }
 
@@ -259,7 +314,7 @@ func TestRecoveredSegmentedHiveUnderConcurrentIngest(t *testing.T) {
 // fsync boundaries — each shard's counter advances by its own task's
 // batches only.
 func TestShardedHiveIndependentCommitBoundaries(t *testing.T) {
-	s, err := store.OpenSharded(filepath.Join(t.TempDir(), "shard"), store.ShardedConfig{Shards: 8})
+	s, err := store.OpenSegmented(filepath.Join(t.TempDir(), "shard"), store.SegmentedConfig{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,19 @@
-// Package store is the Hive's pluggable storage layer: three engines
-// behind one Store interface, all persisting the same JSONL event
-// records the Hive journals (see internal/hive's event codec).
+// Package store is the Hive's storage layer: one engine, the segmented
+// log, behind the Store interface the Hive programs against. It persists
+// the JSONL event records the Hive journals (see internal/hive's event
+// codec) in rotating segment files — one rotating tail per commit shard,
+// so two hot tasks on different shards never serialise on one fsync — and
+// periodically folds sealed history, together with the owner's in-memory
+// state, into one immutable snapshot, so restart cost is O(writes since
+// the last fold), not O(history). See Segmented for the on-disk layout.
 //
-//   - Journal is the compatibility engine — the platform's original
-//     single append-only file, replayed fully at startup. O(history)
-//     restart, one commit boundary.
-//   - Segmented is a compacting log: the tail file rotates at a size
-//     threshold, and sealed history is periodically folded — together
-//     with the owner's in-memory state — into an immutable snapshot, so
-//     restart cost is O(writes since the last fold), not O(history).
-//   - Sharded lands records for different tasks in per-shard files with
-//     independent group-commit boundaries, so two hot tasks never
-//     serialise on one fsync.
-//
-// Engines know nothing about event semantics: records are opaque JSON
+// The engine knows nothing about event semantics: records are opaque JSON
 // lines, snapshots are opaque state blobs. The owner (internal/hive)
-// encodes, decodes and applies both. Crash consistency is uniform across
-// engines: a torn final append (a trailing run of unterminated or
-// non-JSON bytes, the signature of a crash mid-write) is truncated away
-// on recovery — an fsync-acknowledged record always ends in a synced
-// newline, so truncation can only drop writes that were never
-// acknowledged.
+// encodes, decodes and applies both. Crash consistency: a torn final
+// append (a trailing run of unterminated or non-JSON bytes, the signature
+// of a crash mid-write) is truncated away on recovery — an
+// fsync-acknowledged record always ends in a synced newline, so
+// truncation can only drop writes that were never acknowledged.
 package store
 
 import (
@@ -38,16 +31,6 @@ import (
 	"apisense/internal/apierr"
 )
 
-// Engine names, as selected by cmd/hive's -store flag.
-const (
-	// EngineJournal names the single-file compatibility engine.
-	EngineJournal = "journal"
-	// EngineSegmented names the snapshot+tail compacting engine.
-	EngineSegmented = "segmented"
-	// EngineSharded names the per-task sharded engine.
-	EngineSharded = "sharded"
-)
-
 // Sentinel errors of the storage layer — coded apierr sentinels; the
 // Hive wraps them in its own hive.journal_io / hive.corrupt_journal
 // sentinels at the registry boundary, so both codes match with
@@ -62,8 +45,8 @@ var (
 	ErrCorrupt = apierr.New("store.corrupt", apierr.Internal, "store: corrupt log")
 )
 
-// Store is one storage engine. The lifecycle is: construct (OpenJournal,
-// OpenSegmented, OpenSharded), Recover exactly once to replay persisted
+// Store is the Hive's seam to its storage engine. The lifecycle is:
+// construct (OpenSegmented), Recover exactly once to replay persisted
 // state and open the append handles, then append freely; appends before
 // Recover fail with ErrIO. All methods are safe for concurrent use after
 // Recover.
@@ -75,25 +58,24 @@ var (
 // Hive's commit locks provide the cross-call ordering its replay needs.
 type Store interface {
 	// Recover streams persisted state back to the owner: the snapshot
-	// blob first (if the engine holds one), then every log record in
-	// commit order. Torn final appends are truncated away (see the
-	// package comment); corruption that cannot be a torn tail fails with
-	// ErrCorrupt. After Recover returns the engine is ready to append.
+	// blob first (if one was folded), then every log record, each task's
+	// records in arrival order. Torn final appends are truncated away
+	// (see the package comment); corruption that cannot be a torn tail
+	// fails with ErrCorrupt. After Recover returns the engine is ready to
+	// append.
 	Recover(snapshot func(state []byte) error, record func(rec []byte) error) error
 	// AppendMeta durably appends control-plane records (registrations,
-	// task publications) as one commit boundary.
+	// task publications) as one commit boundary on shard 0.
 	AppendMeta(recs [][]byte) error
 	// AppendBatch durably appends data-plane records as one commit
 	// boundary on the given shard (0 <= shard < Shards()).
 	AppendBatch(shard int, recs [][]byte) error
-	// Shards reports how many independent data-plane commit shards the
-	// engine has — 1 for the single-file engines.
+	// Shards reports how many independent commit shards the engine has.
 	Shards() int
 	// ShardFor maps a task key to its commit shard.
 	ShardFor(key string) int
 	// SnapshotDue reports whether the engine wants the owner to fold a
-	// snapshot (see WriteSnapshot). Engines without compaction always
-	// return false. Cheap: read on every commit.
+	// snapshot (see WriteSnapshot). Cheap: read on every commit.
 	SnapshotDue() bool
 	// WriteSnapshot folds state — the owner's complete in-memory image,
 	// covering every record appended so far — into an immutable snapshot
@@ -121,24 +103,21 @@ type Store interface {
 // Stats are the storage-engine gauges, surfaced on GET /api/stats and —
 // via hive.WithMetrics — as apisense_store_* series on /metrics.
 type Stats struct {
-	// Engine is the engine name (journal, segmented, sharded).
-	Engine string `json:"engine"`
-	// Shards is the number of independent data-plane commit shards.
+	// Shards is the number of independent commit shards.
 	Shards int `json:"shards"`
-	// Segments counts the live log files (tail region + meta files).
+	// Segments counts the live log files: sealed-but-unfolded segments
+	// plus one open tail per shard.
 	Segments int `json:"segments"`
 	// LogBytes is the byte volume of the live log files — what the next
 	// restart will replay line by line.
 	LogBytes int64 `json:"logBytes"`
 	// Syncs counts fsyncs across every file of the engine.
 	Syncs uint64 `json:"syncs"`
-	// ShardSyncs counts fsyncs per data-plane shard (len == Shards).
-	// Independent entries growing under a multi-task workload are the
-	// proof that hot tasks no longer serialise on one commit boundary.
+	// ShardSyncs counts fsyncs per commit shard (len == Shards; shard 0
+	// also carries the control-plane records). Independent entries
+	// growing under a multi-task workload are the proof that hot tasks do
+	// not serialise on one commit boundary.
 	ShardSyncs []uint64 `json:"shardSyncs,omitempty"`
-	// MetaSyncs counts fsyncs of the control-plane file (sharded engine
-	// only; the single-file engines fold meta into Syncs).
-	MetaSyncs uint64 `json:"metaSyncs,omitempty"`
 	// Snapshots and SnapshotFailures count completed and failed folds.
 	Snapshots        uint64 `json:"snapshots"`
 	SnapshotFailures uint64 `json:"snapshotFailures"`
@@ -147,33 +126,24 @@ type Stats struct {
 	// LastSnapshotDuration is how long the last fold took.
 	LastSnapshotDuration time.Duration `json:"lastSnapshotDurationNs"`
 	// ReplayDuration and ReplayRecords describe the last Recover: how
-	// long the log replay took and how many records it streamed. With
-	// the segmented engine these stay bounded by the tail size no matter
-	// how old the deployment is — the restart-cost gauge.
+	// long the log replay took and how many records it streamed. Folds
+	// keep both bounded by the tail size no matter how old the
+	// deployment is — the restart-cost gauge.
 	ReplayDuration time.Duration `json:"replayDurationNs"`
 	ReplayRecords  int64         `json:"replayRecords"`
 }
 
-// recoveryStats is the Recover timing shared by every engine.
-type recoveryStats struct {
-	duration atomic.Int64 // ns
-	records  atomic.Int64
-}
-
-func (r *recoveryStats) fill(s *Stats) {
-	s.ReplayDuration = time.Duration(r.duration.Load())
-	s.ReplayRecords = r.records.Load()
-}
-
 // logFile is one append-only JSONL file with its own group-commit
 // boundary: a mutex serialising append+fsync, a sync cadence and a sync
-// counter. It is the unit the sharded engine parallelises over.
+// counter. Each commit shard of the engine is one logFile whose path moves
+// to a fresh segment at every rotation and fold; the lock, cadence and
+// counter stay with the shard.
 type logFile struct {
-	// mu serialises append+fsync on this file; held across the sync by
-	// design — it is the file's commit boundary, and nothing that reads
-	// registry state ever contends on it.
+	// mu serialises append+fsync, rotation and folding on this shard;
+	// held across the sync by design — it is the shard's commit boundary,
+	// and nothing that reads registry state ever contends on it.
 	//
-	//lint:allowsync designated per-file commit lock, serialises append+fsync by design
+	//lint:allowsync designated per-shard commit lock, serialises append+fsync and rotation by design
 	mu        sync.Mutex
 	f         *os.File
 	path      string
@@ -183,8 +153,8 @@ type logFile struct {
 	syncs     atomic.Uint64 // read lock-free by Stats
 }
 
-// open readies the file for appending (creating it if needed). Called
-// after replayFile has truncated any torn tail.
+// open readies the file at lf.path for appending (creating it if needed).
+// Called with lf.mu held, after replayFile has truncated any torn tail.
 func (lf *logFile) open() error {
 	f, err := os.OpenFile(lf.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -194,15 +164,9 @@ func (lf *logFile) open() error {
 	return nil
 }
 
-// append writes recs — one JSON document per record, newline-terminated —
-// as one commit boundary.
-func (lf *logFile) append(recs [][]byte) error {
-	lf.mu.Lock()
-	defer lf.mu.Unlock()
-	return lf.appendLocked(recs)
-}
-
-// appendLocked is append with lf.mu held.
+// appendLocked writes recs — one JSON document per record,
+// newline-terminated — as one commit boundary, syncing per the cadence.
+// The caller holds lf.mu.
 func (lf *logFile) appendLocked(recs [][]byte) error {
 	if lf.f == nil {
 		return fmt.Errorf("%w: %s: append before Recover (or after Close)", ErrIO, lf.path)
@@ -216,17 +180,10 @@ func (lf *logFile) appendLocked(recs [][]byte) error {
 		return fmt.Errorf("%w: append %s: %w", ErrIO, lf.path, err)
 	}
 	lf.size += int64(buf.Len())
-	return lf.commitLocked()
-}
-
-// commitLocked advances the group-commit boundary, syncing per the
-// cadence. Callers hold lf.mu.
-func (lf *logFile) commitLocked() error {
 	if lf.syncEvery <= 0 {
 		return nil
 	}
-	lf.pending++
-	if lf.pending < lf.syncEvery {
+	if lf.pending++; lf.pending < lf.syncEvery {
 		return nil
 	}
 	lf.pending = 0
@@ -260,7 +217,7 @@ func (lf *logFile) closeLocked() error {
 	}
 	syncErr := lf.f.Sync()
 	closeErr := lf.f.Close() // always runs: no fd leak when the sync fails
-	lf.f = nil
+	lf.f, lf.pending = nil, 0
 	if syncErr != nil {
 		return fmt.Errorf("%w: close sync %s: %w", ErrIO, lf.path, syncErr)
 	}
@@ -295,31 +252,34 @@ func (lf *logFile) bytesAndSyncs() (int64, uint64) {
 // Returns the number of records streamed and the usable size of the file
 // after any truncation.
 func replayFile(path string, tolerant bool, record func([]byte) error) (n, size int64, err error) {
-	f, err := os.Open(path)
+	flag := os.O_RDONLY
+	if tolerant {
+		flag = os.O_RDWR // a torn tail is cut through the same handle
+	}
+	f, err := os.OpenFile(path, flag, 0)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, 0, nil
 	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: open %s: %w", ErrIO, path, err)
 	}
+	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
 	var off int64       // start offset of the line being read
 	tornAt := int64(-1) // offset of the first invalid record
 	for {
 		line, rerr := r.ReadBytes('\n')
 		if len(line) > 0 {
-			terminated := len(line) > 0 && line[len(line)-1] == '\n'
+			terminated := line[len(line)-1] == '\n'
 			rec := bytes.TrimSuffix(line, []byte("\n"))
 			switch {
 			case terminated && len(bytes.TrimSpace(rec)) == 0:
 				// Blank line: preserved journal quirk, not a record.
 			case terminated && json.Valid(rec):
 				if tornAt >= 0 {
-					f.Close()
 					return n, off, fmt.Errorf("%w: %s: valid record after invalid bytes at offset %d — not a torn tail, refusing to truncate", ErrCorrupt, path, tornAt)
 				}
 				if err := record(rec); err != nil {
-					f.Close()
 					return n, off, err
 				}
 				n++
@@ -327,7 +287,6 @@ func replayFile(path string, tolerant bool, record func([]byte) error) (n, size 
 				// Unterminated or non-JSON: a torn append, if it is the
 				// trailing run of the file.
 				if !tolerant {
-					f.Close()
 					return n, off, fmt.Errorf("%w: %s: invalid record at offset %d", ErrCorrupt, path, off)
 				}
 				if tornAt < 0 {
@@ -340,24 +299,27 @@ func replayFile(path string, tolerant bool, record func([]byte) error) (n, size 
 			break
 		}
 		if rerr != nil {
-			f.Close()
 			return n, off, fmt.Errorf("%w: read %s: %w", ErrIO, path, rerr)
 		}
 	}
-	if err := f.Close(); err != nil {
-		return n, off, fmt.Errorf("%w: close %s: %w", ErrIO, path, err)
+	if tornAt < 0 {
+		return n, off, nil
 	}
-	if tornAt >= 0 {
-		if err := os.Truncate(path, tornAt); err != nil {
-			return n, tornAt, fmt.Errorf("%w: truncate torn tail of %s: %w", ErrIO, path, err)
-		}
-		return n, tornAt, nil
+	// Cut the tear and sync the cut: the file may be a sealed segment —
+	// replayed strictly — by the next recovery, so the torn bytes must not
+	// resurface after a second crash.
+	if err = f.Truncate(tornAt); err == nil {
+		err = f.Sync()
 	}
-	return n, off, nil
+	if err != nil {
+		return n, tornAt, fmt.Errorf("%w: truncate torn tail of %s: %w", ErrIO, path, err)
+	}
+	return n, tornAt, nil
 }
 
 // syncDirHook is the directory-sync entry point, a variable so tests can
-// inject failures into the post-rename fold window.
+// inject failures where the engine makes a rename or a fresh segment
+// durable.
 var syncDirHook = syncDir
 
 // syncDir fsyncs a directory so renames and creates within it are

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -54,58 +56,85 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestJournalEngineRoundTrip: records appended in one life replay in
-// order in the next.
-func TestJournalEngineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.log")
-	j, err := OpenJournal(path)
+// open opens the engine on dir and fails the test on error.
+func open(t *testing.T, dir string, cfg SegmentedConfig) *Segmented {
+	t.Helper()
+	s, err := OpenSegmented(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, recs := collect(t, j); len(recs) != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(recs))
-	}
-	if err := j.AppendMeta([][]byte{rec(1)}); err != nil {
+	return s
+}
+
+// TestJournalEngineRoundTrip: records appended in one life replay in
+// order in the next — and a journal of the retired single-file engine,
+// which is byte-identical to a segment, is adopted by moving it into a
+// directory as segment 0, exactly as the refusal of a regular file at the
+// store path says.
+func TestJournalEngineRoundTrip(t *testing.T) {
+	root := t.TempDir()
+	journal := filepath.Join(root, "hive.journal")
+	if err := os.WriteFile(journal, append(rec(1), '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendBatch(0, [][]byte{rec(2), rec(3)}); err != nil {
+	_, err := OpenSegmented(journal, SegmentedConfig{})
+	if !errors.Is(err, ErrIO) || !strings.Contains(err.Error(), "mkdir d && mv "+journal+" d/seg-00000000.log") {
+		t.Fatalf("regular file at the store path: err = %v, want ErrIO carrying the adoption recipe", err)
+	}
+	dir := filepath.Join(root, "d")
+	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
+	if err := os.Rename(journal, filepath.Join(dir, "seg-00000000.log")); err != nil {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(path)
-	if err != nil {
+	s := open(t, dir, SegmentedConfig{})
+	if _, recs := collect(t, s); !equalInts(seqs(recs), []int{1}) {
+		t.Fatalf("adopted journal replayed %v, want [1]", seqs(recs))
+	}
+	if err := s.AppendMeta([][]byte{rec(2)}); err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	_, recs := collect(t, j2)
-	if got := seqs(recs); !equalInts(got, []int{1, 2, 3}) {
-		t.Errorf("replayed %v, want [1 2 3]", got)
+	if err := s.AppendBatch(0, [][]byte{rec(3), rec(4)}); err != nil {
+		t.Fatal(err)
 	}
-	st := j2.Stats()
-	if st.Engine != EngineJournal || st.Shards != 1 || st.ReplayRecords != 3 {
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := open(t, dir, SegmentedConfig{})
+	defer s2.Close()
+	snap, recs := collect(t, s2)
+	if got := seqs(recs); snap != nil || !equalInts(got, []int{1, 2, 3, 4}) {
+		t.Errorf("replayed %v (snapshot %q), want [1 2 3 4] and no snapshot", got, snap)
+	}
+	// Same layout, same file: a restart at one shard adds nothing to the
+	// directory.
+	if st := s2.Stats(); st.Shards != 1 || st.Segments != 1 || st.ReplayRecords != 4 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
 // TestAppendBeforeRecoverFails: the lifecycle is construct → Recover →
-// append; an append on an unrecovered store is an ErrIO, not a panic.
+// append → Close; an append outside it is an ErrIO, not a panic.
 func TestAppendBeforeRecoverFails(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendMeta([][]byte{rec(1)}); !errors.Is(err, ErrIO) {
+	s := open(t, t.TempDir(), SegmentedConfig{Shards: 2})
+	if err := s.AppendMeta([][]byte{rec(1)}); !errors.Is(err, ErrIO) {
 		t.Errorf("append before recover: %v, want ErrIO", err)
 	}
-	s, err := OpenSegmented(t.TempDir(), SegmentedConfig{})
-	if err != nil {
+	if err := s.WriteSnapshot([]byte(`{}`)); !errors.Is(err, ErrIO) {
+		t.Errorf("snapshot before recover: %v, want ErrIO", err)
+	}
+	collect(t, s)
+	if err := s.AppendBatch(2, [][]byte{rec(1)}); !errors.Is(err, ErrIO) {
+		t.Errorf("append to shard 2 of 2: %v, want ErrIO", err)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendMeta([][]byte{rec(1)}); !errors.Is(err, ErrIO) {
-		t.Errorf("segmented append before recover: %v, want ErrIO", err)
+	if err := s.AppendBatch(1, [][]byte{rec(1)}); !errors.Is(err, ErrIO) {
+		t.Errorf("append after close: %v, want ErrIO", err)
 	}
 }
 
@@ -267,10 +296,10 @@ func TestSegmentedRecoverPrunesCoveredSegments(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(1)), []byte(`{"stale":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segName(2)), append(rec(2), '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(2, 0)), append(rec(2), '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segName(4)), append(rec(4), '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(4, 0)), append(rec(4), '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, snapName(9)+tmpSuffix), []byte("partial"), 0o644); err != nil {
@@ -289,7 +318,7 @@ func TestSegmentedRecoverPrunesCoveredSegments(t *testing.T) {
 	if got := seqs(recs); !equalInts(got, []int{4}) {
 		t.Errorf("replay = %v, want [4] (covered segment must not replay)", got)
 	}
-	for _, stale := range []string{segName(2), snapName(1), snapName(9) + tmpSuffix} {
+	for _, stale := range []string{segName(2, 0), snapName(1), snapName(9) + tmpSuffix} {
 		if _, err := os.Stat(filepath.Join(dir, stale)); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("%s still present after recovery", stale)
 		}
@@ -319,10 +348,11 @@ func TestSegmentedFoldFailStopAfterPublish(t *testing.T) {
 		}
 	}
 
-	syncDirHook = func(string) error { return fmt.Errorf("%w: injected dir sync failure", ErrIO) }
-	defer func() { syncDirHook = syncDir }()
+	restore := failNthDirSync(1)
 	state := []byte(`{"upTo":` + fmt.Sprint(n) + `}`)
-	if err := s.WriteSnapshot(state); err == nil {
+	err = s.WriteSnapshot(state)
+	restore()
+	if err == nil {
 		t.Fatal("WriteSnapshot succeeded despite directory sync failure")
 	}
 	if st := s.Stats(); st.SnapshotFailures != 1 {
@@ -356,23 +386,22 @@ func TestSegmentedFoldFailStopAfterPublish(t *testing.T) {
 
 // TestShardedIndependentCommits: uploads for tasks on different shards
 // land in different files with separate fsync counters — the
-// no-serialisation proof — and replay together with meta records.
+// no-serialisation proof — control-plane records commit on shard 0, and
+// everything replays together.
 func TestShardedIndependentCommits(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSharded(dir, ShardedConfig{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, dir, SegmentedConfig{Shards: 4})
 	collect(t, s)
 
-	// Find two keys on distinct shards.
-	a, b := "task-a", ""
-	for i := 0; b == ""; i++ {
-		if k := fmt.Sprintf("task-%d", i); s.ShardFor(k) != s.ShardFor(a) {
-			b = k
+	// Find two keys on distinct data shards away from shard 0.
+	var keys []string
+	for i := 0; len(keys) < 2; i++ {
+		k := fmt.Sprintf("task-%d", i)
+		if si := s.ShardFor(k); si != 0 && (len(keys) == 0 || si != s.ShardFor(keys[0])) {
+			keys = append(keys, k)
 		}
 	}
-	sa, sb := s.ShardFor(a), s.ShardFor(b)
+	sa, sb := s.ShardFor(keys[0]), s.ShardFor(keys[1])
 
 	if err := s.AppendMeta([][]byte{rec(1)}); err != nil {
 		t.Fatal(err)
@@ -387,82 +416,436 @@ func TestShardedIndependentCommits(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.MetaSyncs != 1 {
-		t.Errorf("meta syncs = %d, want 1", st.MetaSyncs)
+	want := make([]uint64, 4)
+	want[0], want[sa], want[sb] = 1, 3, 1
+	if fmt.Sprint(st.ShardSyncs) != fmt.Sprint(want) || st.Syncs != 5 {
+		t.Errorf("shard syncs = %v (total %d), want %v (total 5)", st.ShardSyncs, st.Syncs, want)
 	}
-	if st.ShardSyncs[sa] != 3 || st.ShardSyncs[sb] != 1 {
-		t.Errorf("shard syncs = %v, want 3 on shard %d and 1 on shard %d", st.ShardSyncs, sa, sb)
-	}
-	for i, n := range st.ShardSyncs {
-		if i != sa && i != sb && n != 0 {
-			t.Errorf("untouched shard %d has %d syncs", i, n)
+	for _, name := range []string{segName(0, 0), segName(sa, sa), segName(sb, sb)} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty tail per touched shard", name, err)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenSharded(dir, ShardedConfig{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := open(t, dir, SegmentedConfig{Shards: 4})
 	defer s2.Close()
-	_, recs := collect(t, s2)
-	if len(recs) != 5 {
+	if _, recs := collect(t, s2); len(recs) != 5 {
 		t.Errorf("replayed %d records, want 5", len(recs))
 	}
 }
 
-// TestShardedShrinkReplaysOrphans: shrinking the shard count across
-// restarts still replays the now-orphaned higher shard files, and
-// replays them BEFORE the configured shards — orphan records are
-// strictly older than any same-task record in its new home shard, so
-// orphans-first is what preserves per-task arrival order.
-func TestShardedShrinkReplaysOrphans(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSharded(dir, ShardedConfig{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+// keyed is a record that names the task key it was appended for.
+type keyed struct {
+	Seq int    `json:"seq"`
+	Key string `json:"key"`
+}
+
+// TestShardCountChangeKeepsTaskOrder: a task's records replay in arrival
+// order after any sequence of shard-count changes — shrink, grow (8→12
+// moves task-4 from shard 5 down to shard 1, the case that inverted under
+// the retired sharded engine), both without a fold in between, and with
+// one — and stray files such as seg-00000003.log.bak never replay.
+func TestShardCountChangeKeepsTaskOrder(t *testing.T) {
+	type life struct {
+		shards int
+		fold   bool // fold once, halfway through the life
 	}
-	collect(t, s)
-	for shard := 0; shard < 4; shard++ {
-		if err := s.AppendBatch(shard, [][]byte{rec(shard)}); err != nil {
+	cases := []struct {
+		name  string
+		lives []life
+	}{
+		{"shrink 4 to 2", []life{{shards: 4}, {shards: 2}}},
+		{"grow 8 to 12", []life{{shards: 8}, {shards: 12}}},
+		{"3 to 5 to 2 without a fold", []life{{shards: 3}, {shards: 5}, {shards: 2}}},
+		{"fold between changes", []life{{shards: 8, fold: true}, {shards: 12}, {shards: 12, fold: true}, {shards: 1}, {shards: 4}}},
+		{"same count across restarts", []life{{shards: 4}, {shards: 4}, {shards: 4}}},
+	}
+	const keys, perLife = 16, 4
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "seg-00000003.log.bak"), []byte(`{"seq":-1,"key":"stray"}`+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var all []keyed // every acknowledged record, in arrival order
+
+			// check recovers s and compares what it streams — the snapshot's
+			// records, then the log's — with all, task by task.
+			check := func(s *Segmented, when string) {
+				t.Helper()
+				snap, recs := collect(t, s)
+				var got []keyed
+				if snap != nil {
+					if err := json.Unmarshal(snap, &got); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, r := range recs {
+					var k keyed
+					if err := json.Unmarshal(r, &k); err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, k)
+				}
+				perKey := func(rs []keyed) map[string][]int {
+					m := make(map[string][]int)
+					for _, r := range rs {
+						m[r.Key] = append(m[r.Key], r.Seq)
+					}
+					return m
+				}
+				gotBy, wantBy := perKey(got), perKey(all)
+				if len(got) != len(all) || len(gotBy) != len(wantBy) {
+					t.Fatalf("%s: recovered %d records of %d keys, want %d of %d", when, len(got), len(gotBy), len(all), len(wantBy))
+				}
+				for key, want := range wantBy {
+					if !equalInts(gotBy[key], want) {
+						t.Errorf("%s: %s replayed %v, want arrival order %v", when, key, gotBy[key], want)
+					}
+				}
+			}
+
+			for li, l := range tc.lives {
+				// Tiny segments: every shard rotates several times a life.
+				s := open(t, dir, SegmentedConfig{Shards: l.shards, SegmentBytes: 64, SnapshotEvery: 1 << 20})
+				check(s, fmt.Sprintf("life %d (%d shards)", li, l.shards))
+				for round := 0; round < perLife; round++ {
+					for k := 0; k < keys; k++ {
+						r := keyed{Seq: len(all), Key: fmt.Sprintf("task-%d", k)}
+						line, _ := json.Marshal(r)
+						if err := s.AppendBatch(s.ShardFor(r.Key), [][]byte{line}); err != nil {
+							t.Fatal(err)
+						}
+						all = append(all, r)
+					}
+					if l.fold && round == perLife/2 {
+						state, _ := json.Marshal(all)
+						if err := s.WriteSnapshot(state); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := tc.lives[len(tc.lives)-1].shards
+			s := open(t, dir, SegmentedConfig{Shards: last})
+			check(s, "final recovery")
+			// Segments of shards beyond the configured count were replayed;
+			// the next fold retires them with everything else.
+			state, _ := json.Marshal(all)
+			if err := s.WriteSnapshot(state); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.Segments != last || st.LogBytes != 0 {
+				t.Errorf("after the fold: %d segments, %d log bytes; want %d empty tails", st.Segments, st.LogBytes, last)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != last+2 { // tails + snapshot + the stray file
+				t.Errorf("directory holds %d files after the fold, want %d", len(entries), last+2)
+			}
+		})
+	}
+}
+
+// failNthDirSync makes the n-th directory sync from now on (1-based) fail,
+// and every later one, until the returned restore function runs.
+func failNthDirSync(n int) (restore func()) {
+	calls := 0
+	syncDirHook = func(dir string) error {
+		if calls++; calls >= n {
+			return fmt.Errorf("%w: injected dir sync failure", ErrIO)
+		}
+		return syncDir(dir)
+	}
+	return func() { syncDirHook = syncDir }
+}
+
+// TestFreshSegmentDirentSynced: a freshly created tail gets its directory
+// entry synced before any append to it is acknowledged. Failing that sync
+// at each of the three places a tail is created — first open, rotation,
+// after a fold — the append answers ErrIO, nothing further is
+// acknowledged, and a re-opened store recovers every record that was.
+func TestFreshSegmentDirentSynced(t *testing.T) {
+	cfg := SegmentedConfig{SegmentBytes: 32, SnapshotEvery: 2}
+	reopen := func(t *testing.T, dir string, wantSnap string, acked []int) {
+		t.Helper()
+		s := open(t, dir, cfg)
+		defer s.Close()
+		snap, recs := collect(t, s)
+		if string(snap) != wantSnap {
+			t.Errorf("recovered snapshot %q, want %q", snap, wantSnap)
+		}
+		// Unacknowledged records may replay (the failure edge is
+		// at-least-once); acknowledged ones must, first and in order.
+		if got := seqs(recs); len(got) < len(acked) || !equalInts(got[:len(acked)], acked) {
+			t.Errorf("recovered %v, want every acknowledged record %v", got, acked)
+		}
+		if err := s.AppendBatch(0, [][]byte{rec(1000)}); err != nil {
+			t.Errorf("append after recovery: %v", err)
+		}
+	}
+
+	t.Run("first open", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir, cfg)
+		restore := failNthDirSync(1)
+		err := s.Recover(func([]byte) error { return nil }, func([]byte) error { return nil })
+		restore()
+		if !errors.Is(err, ErrIO) {
+			t.Fatalf("recover with an unsynced first tail: %v, want ErrIO", err)
+		}
+		if err := s.AppendBatch(0, [][]byte{rec(1)}); !errors.Is(err, ErrIO) {
+			t.Errorf("append to a tail whose dirent is not durable: %v, want ErrIO", err)
+		}
+		s.Close()
+		reopen(t, dir, "", nil)
+	})
+
+	t.Run("rotation", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir, cfg)
+		collect(t, s)
+		defer failNthDirSync(1)()
+		var acked []int
+		for n := 1; ; n++ {
+			if n > 100 {
+				t.Fatal("the tail never rotated")
+			}
+			err := s.AppendBatch(0, [][]byte{rec(n)})
+			if err == nil {
+				acked = append(acked, n)
+				continue
+			}
+			if !errors.Is(err, ErrIO) {
+				t.Fatalf("rotating append: %v, want ErrIO", err)
+			}
+			break
+		}
+		if len(acked) == 0 {
+			t.Fatal("nothing was acknowledged before the rotation")
+		}
+		if err := s.AppendBatch(0, [][]byte{rec(500)}); !errors.Is(err, ErrIO) {
+			t.Errorf("append after the failed rotation: %v, want ErrIO (fail-stop)", err)
+		}
+		s.Close()
+		syncDirHook = syncDir
+		reopen(t, dir, "", acked)
+	})
+
+	t.Run("post-fold tail", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir, cfg)
+		collect(t, s)
+		for n := 1; !s.SnapshotDue(); n++ {
+			if err := s.AppendBatch(0, [][]byte{rec(n)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The fold's first directory sync publishes the snapshot; the
+		// second makes the fresh tail durable.
+		restore := failNthDirSync(2)
+		err := s.WriteSnapshot([]byte(`{"folded":true}`))
+		restore()
+		if !errors.Is(err, ErrIO) {
+			t.Fatalf("fold with an unsynced fresh tail: %v, want ErrIO", err)
+		}
+		if st := s.Stats(); st.SnapshotFailures != 1 {
+			t.Errorf("snapshot failures = %d, want 1", st.SnapshotFailures)
+		}
+		if err := s.AppendBatch(0, [][]byte{rec(500)}); !errors.Is(err, ErrIO) {
+			t.Errorf("append after the failed fold: %v, want ErrIO (fail-stop)", err)
+		}
+		s.Close()
+		reopen(t, dir, `{"folded":true}`, nil)
+	})
+}
+
+// TestAdoptShardedDirectory: a directory of the retired sharded engine
+// (meta.log + shard-NN.log) is converted once, crash-safely, at Recover.
+func TestAdoptShardedDirectory(t *testing.T) {
+	write := func(t *testing.T, dir, name, content string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+	line := func(ns ...int) string {
+		var b strings.Builder
+		for _, n := range ns {
+			b.Write(rec(n))
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	legacy := func(t *testing.T) string {
+		dir := t.TempDir()
+		write(t, dir, "meta.log", line(1, 2))
+		write(t, dir, "shard-00.log", line(10, 11))
+		write(t, dir, "shard-01.log", line(20)+`{"seq":2`) // torn final append
+		write(t, dir, "shard-03.log", line(30))            // orphan of a larger shard count: older, so first
+		write(t, dir, "shard-01.log.bak", line(99))
+		return dir
+	}
+	gone := func(t *testing.T, dir string) {
+		t.Helper()
+		for _, name := range []string{"meta.log", "shard-00.log", "shard-01.log", "shard-03.log"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s still present after adoption", name)
+			}
+		}
+	}
+
+	t.Run("adopts", func(t *testing.T) {
+		dir := legacy(t)
+		for _, shards := range []int{2, 2} { // the second recovery finds a native directory
+			s := open(t, dir, SegmentedConfig{Shards: shards})
+			_, recs := collect(t, s)
+			if got, want := seqs(recs), []int{1, 2, 30, 20, 10, 11}; !equalInts(got, want) {
+				t.Errorf("replayed %v, want %v", got, want)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			gone(t, dir)
+		}
+	})
+
+	t.Run("crash before the copy is published", func(t *testing.T) {
+		dir := legacy(t)
+		write(t, dir, segName(0, 0)+tmpSuffix, line(1))
+		s := open(t, dir, SegmentedConfig{})
+		defer s.Close()
+		if _, recs := collect(t, s); len(recs) != 6 {
+			t.Errorf("replayed %d records, want all 6 (adoption reruns)", len(recs))
+		}
+		gone(t, dir)
+	})
+
+	t.Run("publish not durable", func(t *testing.T) {
+		dir := legacy(t)
+		s := open(t, dir, SegmentedConfig{})
+		restore := failNthDirSync(1)
+		err := s.Recover(func([]byte) error { return nil }, func([]byte) error { return nil })
+		restore()
+		if !errors.Is(err, ErrIO) {
+			t.Fatalf("recover: %v, want ErrIO", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "meta.log")); err != nil {
+			t.Fatalf("legacy files must outlive a copy that is not durable yet: %v", err)
+		}
+	})
+
+	t.Run("crash after the copy is published", func(t *testing.T) {
+		dir := legacy(t)
+		write(t, dir, segName(0, 0), line(1, 2, 30, 20, 10, 11))
+		s := open(t, dir, SegmentedConfig{})
+		defer s.Close()
+		if _, recs := collect(t, s); len(recs) != 6 {
+			t.Errorf("replayed %d records, want 6 (legacy leftovers must not replay twice)", len(recs))
+		}
+		gone(t, dir)
+	})
+}
+
+// TestConcurrentShardsRotateAndFold (run with -race): one appender per
+// shard rotates its own tail while a folder quiesces them all — as the
+// Hive does with its commit locks — and folds; recovery then yields every
+// acknowledged record exactly once, each shard's in order.
+func TestConcurrentShardsRotateAndFold(t *testing.T) {
+	const shards, perShard = 4, 200
+	dir := t.TempDir()
+	cfg := SegmentedConfig{Shards: shards, SegmentBytes: 256, SnapshotEvery: 3}
+	s := open(t, dir, cfg)
+	collect(t, s)
+
+	var quiesce sync.RWMutex // appenders share it, the folder owns it
+	var mu sync.Mutex
+	var acked []keyed
+	fold := func() {
+		quiesce.Lock()
+		defer quiesce.Unlock()
+		if !s.SnapshotDue() {
+			return
+		}
+		state, _ := json.Marshal(acked)
+		if err := s.WriteSnapshot(state); err != nil {
+			t.Error(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for si := 0; si < shards; si++ {
+		wg.Add(1)
+		go func(si int) {
+			defer wg.Done()
+			for n := 0; n < perShard; n++ {
+				r := keyed{Seq: n, Key: fmt.Sprint(si)}
+				line, _ := json.Marshal(r)
+				quiesce.RLock()
+				err := s.AppendBatch(si, [][]byte{line})
+				if err == nil {
+					mu.Lock()
+					acked = append(acked, r)
+					mu.Unlock()
+				}
+				quiesce.RUnlock()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if s.SnapshotDue() {
+					fold()
+				}
+				_ = s.Stats()
+			}
+		}(si)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Snapshots == 0 {
+		t.Error("the run never folded")
+	}
+	for si, n := range st.ShardSyncs {
+		if n < perShard {
+			t.Errorf("shard %d synced %d times, want >= %d (one per commit)", si, n, perShard)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// An operator's backup copy in the store dir must not replay as live
-	// history — only exact shard-N.log names count.
-	if err := os.WriteFile(filepath.Join(dir, "shard-03.log.bak"), append(rec(99), '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	s2, err := OpenSharded(dir, ShardedConfig{Shards: 2})
-	if err != nil {
+	s2 := open(t, dir, cfg)
+	defer s2.Close()
+	snap, recs := collect(t, s2)
+	var got []keyed
+	if err := json.Unmarshal(snap, &got); err != nil {
 		t.Fatal(err)
 	}
-	_, recs := collect(t, s2)
-	if got, want := seqs(recs), []int{2, 3, 0, 1}; !equalInts(got, want) {
-		t.Errorf("replay after shrink = %v, want %v (orphans first, backup file ignored)", got, want)
+	for _, r := range recs {
+		var k keyed
+		if err := json.Unmarshal(r, &k); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, k)
 	}
-	// The task whose history lives in orphan shard-03 keeps uploading; its
-	// new records land in its new home shard.
-	if err := s2.AppendBatch(1, [][]byte{rec(31)}); err != nil {
-		t.Fatal(err)
+	next := make(map[string]int)
+	for _, r := range got {
+		if r.Seq != next[r.Key] {
+			t.Fatalf("shard %s: recovered record %d where %d was due", r.Key, r.Seq, next[r.Key])
+		}
+		next[r.Key]++
 	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s3, err := OpenSharded(dir, ShardedConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	_, recs = collect(t, s3)
-	if got, want := seqs(recs), []int{2, 3, 0, 1, 31}; !equalInts(got, want) {
-		t.Errorf("replay after shrink+append = %v, want %v (orphan record 3 must precede its task's newer record 31)", got, want)
+	if len(got) != shards*perShard {
+		t.Errorf("recovered %d records, want %d", len(got), shards*perShard)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +25,7 @@ import (
 // group commit and the store append, and asserts that every hop lands in a
 // single trace with the expected parent/child/link structure.
 func TestEndToEndUploadTrace(t *testing.T) {
-	st, err := store.OpenJournal(filepath.Join(t.TempDir(), "hive.journal"))
+	st, err := store.OpenSegmented(t.TempDir(), store.SegmentedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,11 +74,11 @@ type Config struct {
 	// MaxBatch is still committed whole. Default 256.
 	MaxBatch int
 	// Workers is the size of the drain pool. The default of 1 maximises
-	// group-commit coalescing and is right for single-file sinks, which
+	// group-commit coalescing and is right for single-shard sinks, which
 	// serialise whole commits anyway. Raise it for sinks that commit
-	// batches concurrently — a Hive on the sharded store fsyncs each
-	// task's uploads on its own shard, so extra workers let batches for
-	// distinct tasks commit in parallel.
+	// batches concurrently — a Hive whose store has several commit shards
+	// fsyncs each task's uploads on its own shard, so extra workers let
+	// batches for distinct tasks commit in parallel.
 	Workers int
 	// MaxPendingUploads bounds the total uploads queued across all slots
 	// — the actual memory backstop (Capacity alone counts batches, whose

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"apisense/internal/hive"
+	"apisense/internal/hive/store"
 	"apisense/internal/ingest"
 	"apisense/internal/transport"
 )
@@ -395,17 +396,28 @@ func TestBrokenSinkVerdicts(t *testing.T) {
 	}
 }
 
+// recoverHive opens the storage engine on dir and recovers a Hive from it.
+func recoverHive(t *testing.T, dir string) (*hive.Hive, store.Store) {
+	t.Helper()
+	s, err := store.OpenSegmented(dir, store.SegmentedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := hive.RecoverFrom(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, s
+}
+
 // TestNoLossNoDupUnderBackpressure is the subsystem's integrity contract,
 // run under -race in CI: concurrent producers push batches through a tiny
 // queue into a journaled Hive, hitting ErrQueueFull and retrying; after a
 // drain and a journal replay, the recovered Hive must hold exactly the
 // acknowledged uploads — none lost, none duplicated.
 func TestNoLossNoDupUnderBackpressure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hive.journal")
-	h, j, err := hive.Recover(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "store")
+	h, j := recoverHive(t, path)
 	if err := h.RegisterDevice(transport.DeviceInfo{ID: "d1", User: "alice", Sensors: []string{"gps"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -531,10 +543,7 @@ func TestNoLossNoDupUnderBackpressure(t *testing.T) {
 
 	// Phase 3 — replay: the journal must restore exactly the acknowledged
 	// set.
-	h2, j2, err := hive.Recover(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2, j2 := recoverHive(t, path)
 	defer j2.Close()
 	ups, err := h2.Uploads(spec.ID)
 	if err != nil {
