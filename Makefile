@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build lint docs test race check bench bench-quick fmt
+.PHONY: all build lint docs test race check bench bench-quick fuzz-smoke fmt
 
 all: check
 
@@ -48,6 +48,12 @@ bench:
 
 bench-quick:
 	$(GO) run ./bench -seed 1 -out /dev/null -quick
+
+# fuzz-smoke runs each fuzz target for 10 s, as CI does. The snapshot
+# seeds are KBs long, so minimisation is capped or it takes the whole run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzScoreMatchesReference$$' -fuzztime=10s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/hive/
 
 fmt:
 	gofmt -w .

@@ -76,8 +76,8 @@ type Hive struct {
 	devices     map[string]transport.DeviceInfo
 	tasks       map[string]transport.TaskSpec
 	assignments map[string]map[string]bool // taskID -> deviceID set
-	uploads     map[string][]transport.Upload
-	uploadCap   int // per-task; <= 0 means unlimited
+	uploads     map[string]*heldUploads    // taskID -> admitted uploads
+	uploadCap   int                        // per-task; <= 0 means unlimited
 	nextTaskID  int
 	store       store.Store // optional durability engine, see storage.go
 
@@ -107,13 +107,35 @@ type Hive struct {
 	tracer atomic.Pointer[otrace.Tracer]
 }
 
+// heldUploads is one task's admitted uploads, in arrival order. Each is
+// held as its JSON encoding — exactly the "upload" payload of its log
+// record — which snapshots copy and restarts slice back without decoding.
+// The bytes are never modified once held. records counts the sensed
+// records across them, so Stats never decodes.
+type heldUploads struct {
+	raw     [][]byte
+	records int
+}
+
+// hold appends one encoded upload carrying records records to task's
+// uploads. Called with h.mu held, or during recovery.
+func (h *Hive) hold(task string, raw []byte, records int) {
+	t := h.uploads[task]
+	if t == nil {
+		t = &heldUploads{}
+		h.uploads[task] = t
+	}
+	t.raw = append(t.raw, raw)
+	t.records += records
+}
+
 // New creates an empty Hive with the default per-task upload cap.
 func New() *Hive {
 	return &Hive{
 		devices:     make(map[string]transport.DeviceInfo),
 		tasks:       make(map[string]transport.TaskSpec),
 		assignments: make(map[string]map[string]bool),
-		uploads:     make(map[string][]transport.Upload),
+		uploads:     make(map[string]*heldUploads),
 		uploadCap:   DefaultMaxUploadsPerTask,
 		commit:      make([]sync.Mutex, 1),
 	}
@@ -309,6 +331,11 @@ func (h *Hive) SubmitUpload(u transport.Upload) error {
 // at-least-once, like any WAL. Conversely, concurrent readers may
 // briefly observe admitted uploads whose sync is still in flight; the
 // caller is only acknowledged after it.
+//
+// Every upload is encoded to JSON before any lock is taken; that encoding
+// is what the Hive holds and what its log record carries. An upload that
+// does not encode (a NaN or a channel in its Data, say) is refused with
+// ErrJournalIO.
 func (h *Hive) SubmitBatch(ups []transport.Upload) []error {
 	//lint:allow ctxflow convenience wrapper, SubmitBatchContext is the traced form
 	return h.SubmitBatchContext(context.Background(), ups)
@@ -331,6 +358,17 @@ func (h *Hive) submitBatch(ctx context.Context, ups []transport.Upload) []error 
 	errs := make([]error, len(ups))
 	if len(ups) == 0 {
 		return errs
+	}
+	// Encode each upload once, before taking any lock: the bytes are what
+	// the Hive holds for it and the payload of its log record.
+	raws := make([][]byte, len(ups))
+	for i := range ups {
+		raw, err := json.Marshal(&ups[i])
+		if err != nil {
+			errs[i] = fmt.Errorf("%w: encode upload: %w", ErrJournalIO, err)
+			continue
+		}
+		raws[i] = raw
 	}
 	h.mu.RLock()
 	st := h.store
@@ -364,7 +402,10 @@ func (h *Hive) submitBatch(ctx context.Context, ups []transport.Upload) []error 
 	h.mu.Lock()
 	admitted := make([]int, 0, len(ups))
 	for i := range ups {
-		if err := h.admitUpload(ups[i]); err != nil {
+		if errs[i] != nil {
+			continue
+		}
+		if err := h.admitUpload(&ups[i], raws[i]); err != nil {
 			errs[i] = err
 			continue
 		}
@@ -373,9 +414,9 @@ func (h *Hive) submitBatch(ctx context.Context, ups []transport.Upload) []error 
 	h.mu.Unlock()
 
 	if st != nil && len(admitted) > 0 {
-		// One group commit per touched shard. Encoding happens outside
-		// h.mu; the shard locks keep each admitted upload at the tail of
-		// its task's slice until its commit outcome is known.
+		// One group commit per touched shard. The shard locks keep each
+		// admitted upload at the tail of its task's slice until its commit
+		// outcome is known.
 		byShard := make(map[int][]int, len(shards))
 		for _, i := range admitted {
 			si := 0
@@ -395,21 +436,13 @@ func (h *Hive) submitBatch(ctx context.Context, ups []transport.Upload) []error 
 				_, sp = tr.Start(ctx, "store.append",
 					otrace.Int("shard", si), otrace.Int("records", len(idxs)))
 			}
-			recs := make([][]byte, 0, len(idxs))
-			var encErr error
-			for _, i := range idxs {
-				rec, err := json.Marshal(event{Kind: evUpload, Upload: &ups[i]})
-				if err != nil {
-					encErr = fmt.Errorf("%w: encode event: %w", ErrJournalIO, err)
-					break
-				}
-				recs = append(recs, rec)
+			recs := make([][]byte, len(idxs))
+			for k, i := range idxs {
+				recs[k] = uploadRecord(raws[i])
 			}
-			err := encErr
-			if err == nil {
-				if aerr := st.AppendBatch(si, recs); aerr != nil {
-					err = fmt.Errorf("%w: %w", ErrJournalIO, aerr)
-				}
+			var err error
+			if aerr := st.AppendBatch(si, recs); aerr != nil {
+				err = fmt.Errorf("%w: %w", ErrJournalIO, aerr)
 			}
 			if sp != nil {
 				if err != nil {
@@ -424,8 +457,10 @@ func (h *Hive) submitBatch(ctx context.Context, ups []transport.Upload) []error 
 				h.mu.Lock()
 				for k := len(idxs) - 1; k >= 0; k-- {
 					i := idxs[k]
-					task := ups[i].TaskID
-					h.uploads[task] = h.uploads[task][:len(h.uploads[task])-1]
+					t := h.uploads[ups[i].TaskID]
+					t.raw[len(t.raw)-1] = nil
+					t.raw = t.raw[:len(t.raw)-1]
+					t.records -= len(ups[i].Records)
 					errs[i] = err
 				}
 				h.mu.Unlock()
@@ -442,9 +477,10 @@ func (h *Hive) submitBatch(ctx context.Context, ups []transport.Upload) []error 
 	return errs
 }
 
-// admitUpload validates one upload and appends it to the in-memory store.
-// Called with h.mu held; journaling is the caller's group commit.
-func (h *Hive) admitUpload(u transport.Upload) error {
+// admitUpload validates one upload and holds raw, its encoding, in the
+// in-memory store. Called with h.mu held; journaling is the caller's group
+// commit.
+func (h *Hive) admitUpload(u *transport.Upload, raw []byte) error {
 	if _, ok := h.tasks[u.TaskID]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTask, u.TaskID)
 	}
@@ -454,21 +490,43 @@ func (h *Hive) admitUpload(u transport.Upload) error {
 	if !h.assignments[u.TaskID][u.DeviceID] {
 		return fmt.Errorf("%w: device %s, task %s", ErrNotAssigned, u.DeviceID, u.TaskID)
 	}
-	if h.uploadCap > 0 && len(h.uploads[u.TaskID]) >= h.uploadCap {
-		return fmt.Errorf("%w: task %s already holds %d uploads", ErrUploadLimit, u.TaskID, len(h.uploads[u.TaskID]))
+	if t := h.uploads[u.TaskID]; h.uploadCap > 0 && t != nil && len(t.raw) >= h.uploadCap {
+		return fmt.Errorf("%w: task %s already holds %d uploads", ErrUploadLimit, u.TaskID, len(t.raw))
 	}
-	h.uploads[u.TaskID] = append(h.uploads[u.TaskID], u)
+	h.hold(u.TaskID, raw, len(u.Records))
 	return nil
 }
 
-// Uploads returns the ingested uploads of a task, in arrival order.
+// Uploads returns the ingested uploads of a task, in arrival order, each
+// decoded afresh from the JSON the Hive holds: the result shares nothing
+// with the Hive, and Data values read back as a recovered Hive reads them
+// (numbers are float64).
 func (h *Hive) Uploads(taskID string) ([]transport.Upload, error) {
+	raws, err := h.uploadsJSON(taskID)
+	if err != nil || len(raws) == 0 {
+		return nil, err
+	}
+	out := make([]transport.Upload, len(raws))
+	for i, raw := range raws {
+		if err := json.Unmarshal(raw, &out[i]); err != nil {
+			return nil, fmt.Errorf("%w: task %s upload %d: %w", ErrCorruptJournal, taskID, i, err)
+		}
+	}
+	return out, nil
+}
+
+// uploadsJSON returns the held encodings of a task's uploads, in arrival
+// order. The slice is the caller's; the bytes are shared and read-only.
+func (h *Hive) uploadsJSON(taskID string) ([][]byte, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if _, ok := h.tasks[taskID]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTask, taskID)
 	}
-	return append([]transport.Upload(nil), h.uploads[taskID]...), nil
+	if t := h.uploads[taskID]; t != nil {
+		return append([][]byte(nil), t.raw...), nil
+	}
+	return nil, nil
 }
 
 // IngestStats are the streaming-ingestion gauges of an attached queue
@@ -496,16 +554,15 @@ type Stats struct {
 	Store *StoreStats `json:"store,omitempty"`
 }
 
-// Stats returns current platform statistics.
+// Stats returns current platform statistics, in time linear in the number
+// of tasks: upload and record counts are kept per task.
 func (h *Hive) Stats() Stats {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	s := Stats{Devices: len(h.devices), Tasks: len(h.tasks)}
-	for _, us := range h.uploads {
-		s.Uploads += len(us)
-		for _, u := range us {
-			s.Records += len(u.Records)
-		}
+	for _, t := range h.uploads {
+		s.Uploads += len(t.raw)
+		s.Records += t.records
 	}
 	return s
 }

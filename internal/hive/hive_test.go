@@ -3,8 +3,11 @@ package hive
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"apisense/internal/transport"
@@ -181,7 +184,117 @@ func TestUploadFlow(t *testing.T) {
 	}
 }
 
-func must(t *testing.T, err error) {
+// TestUploadsAreCopiesAndRestartStable: Uploads hands out uploads that
+// share nothing with the Hive — mutating one changes no stored state — and
+// a memory-only Hive serves what a Hive recovered from the same history
+// serves: Data numbers are float64 on both, not whatever Go type the
+// submitter used.
+func TestUploadsAreCopiesAndRestartStable(t *testing.T) {
+	feed := func(h *Hive) string {
+		must(t, h.RegisterDevice(deviceInfo("d1", "alice", 45.7, 4.8)))
+		spec, _, err := h.PublishTask(taskSpec("aliasing"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		must(t, h.SubmitUpload(transport.Upload{TaskID: spec.ID, DeviceID: "d1", Logs: []string{"boot"},
+			Records: []transport.UploadRecord{{Sensor: "gps", TimeMillis: 1, Data: map[string]any{"n": 1, "tags": []any{"a"}}}}}))
+		return spec.ID
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	h, s, err := recoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(h)
+	must(t, s.Close())
+	h, s, err = recoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	mem := New()
+	task := feed(mem)
+	got, err := mem.Uploads(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[0].Records[0].Data["n"] = 99
+	got[0].Records[0].Data["tags"].([]any)[0] = "z"
+	got[0].Records[0].Sensor = "mutated"
+	got[0].Logs[0] = "mutated"
+	again, err := mem.Uploads(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := h.Uploads(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, recovered) {
+		t.Errorf("memory-only Hive serves %+v after a caller mutated its result, a recovered one %+v", again, recovered)
+	}
+	if n, ok := again[0].Records[0].Data["n"].(float64); !ok || n != 1 {
+		t.Errorf(`Data["n"] = %#v, want float64(1)`, again[0].Records[0].Data["n"])
+	}
+}
+
+// TestStatsCountersMatchWalk: the upload and record counts Stats keeps per
+// task equal a walk over every held upload after admissions, after a
+// failed group commit rolled some back, and after a restart.
+// (TestLegacyStoreFixtures checks them after adopting earlier stores.)
+func TestStatsCountersMatchWalk(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	h, s, err := recoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(t, h.RegisterDevice(deviceInfo("d1", "alice", 45.7, 4.8)))
+	var tasks []string
+	for i := 0; i < 3; i++ {
+		spec, _, err := h.PublishTask(taskSpec(fmt.Sprintf("t%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, spec.ID)
+	}
+	batch := func(n int) []transport.Upload {
+		var ups []transport.Upload
+		for i := 0; i < n; i++ {
+			ups = append(ups, transport.Upload{TaskID: tasks[i%len(tasks)], DeviceID: "d1",
+				Records: make([]transport.UploadRecord, i%4)})
+		}
+		return ups
+	}
+	for _, err := range h.SubmitBatch(batch(10)) {
+		must(t, err)
+	}
+	checkCounters(t, h)
+	before := h.Stats()
+
+	must(t, s.Close()) // every further group commit fails and rolls back
+	for _, err := range h.SubmitBatch(batch(7)) {
+		if !errors.Is(err, ErrJournalIO) {
+			t.Fatalf("commit on a closed store: err = %v, want %s", err, ErrJournalIO)
+		}
+	}
+	checkCounters(t, h)
+	if got := h.Stats(); got != before {
+		t.Errorf("after the rollback Stats = %+v, want %+v", got, before)
+	}
+
+	h2, s2, err := recoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	checkCounters(t, h2)
+	if got := h2.Stats(); got != before {
+		t.Errorf("after the restart Stats = %+v, want %+v", got, before)
+	}
+}
+
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)

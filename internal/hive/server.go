@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -363,16 +364,27 @@ func (s *Server) handleGetTask(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, spec)
 }
 
+// handleUploadsOf streams the held encodings as the JSON array: each is
+// json.Marshal's output for its upload, so the body is byte-identical to
+// writeJSON of the decoded uploads, without the decode and re-encode.
 func (s *Server) handleUploadsOf(w http.ResponseWriter, r *http.Request) {
-	ups, err := s.hive.Uploads(r.PathValue("id"))
+	raws, err := s.hive.uploadsJSON(r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	if ups == nil {
-		ups = []transport.Upload{}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteByte('[')
+	for i, raw := range raws {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		bw.Write(raw)
 	}
-	writeJSON(w, http.StatusOK, ups)
+	bw.WriteString("]\n")
+	_ = bw.Flush() // like writeJSON: the status is sent, a failed write has no one to tell
 }
 
 func (s *Server) handleSubmitUpload(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -335,6 +336,89 @@ func TestServerEvalCacheStats(t *testing.T) {
 	if strings.Contains(body, "eval_cache") {
 		t.Errorf("stats without a cache should omit eval_cache: %s", body)
 	}
+}
+
+// TestUploadsRouteStreamsHeldBytes: GET /api/tasks/{id}/uploads streams
+// the held encodings, and the body is byte-identical to writeJSON of the
+// uploads — what the route answered when it decoded and re-encoded them —
+// for an empty task, for strings the encoder HTML-escapes, on a Hive that
+// never restarted (whose uploads are the submitted values) and on one
+// recovered from disk (whose uploads are decoded).
+func TestUploadsRouteStreamsHeldBytes(t *testing.T) {
+	ups := []transport.Upload{
+		{DeviceID: "d1", Logs: []string{"<b>&amp;</b>", "ünï "}, Records: []transport.UploadRecord{
+			{Sensor: "gps", TimeMillis: 1418031000000, Data: map[string]any{"lat": 45.7640, "lon": 4.8357, "html": "<script>&"}},
+		}},
+		{DeviceID: "d1", Records: []transport.UploadRecord{{Sensor: "battery", Data: map[string]any{"level": 0.5, "n": 3}}}},
+		{DeviceID: "d1"},
+	}
+	writeJSONBody := func(v any) string {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		return rec.Body.String()
+	}
+	check := func(t *testing.T, h *Hive, task string, want string) {
+		t.Helper()
+		srv := httptest.NewServer(NewServer(h))
+		defer srv.Close()
+		status, body, hdr := getJSON(t, srv.URL, "/api/tasks/"+task+"/uploads")
+		if status != http.StatusOK || hdr.Get("Content-Type") != "application/json" {
+			t.Errorf("status %d, Content-Type %q", status, hdr.Get("Content-Type"))
+		}
+		if body != want {
+			t.Errorf("body\n%s\nwant\n%s", body, want)
+		}
+	}
+	feed := func(h *Hive) (full, empty string) {
+		must(t, h.RegisterDevice(deviceInfo("d1", "alice", 45.7, 4.8)))
+		a, _, err := h.PublishTask(taskSpec("full"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := h.PublishTask(taskSpec("empty"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := append([]transport.Upload(nil), ups...)
+		for i := range batch {
+			batch[i].TaskID = a.ID
+		}
+		for _, err := range h.SubmitBatch(batch) {
+			must(t, err)
+		}
+		return a.ID, b.ID
+	}
+
+	mem := New()
+	full, empty := feed(mem)
+	submitted := append([]transport.Upload(nil), ups...)
+	for i := range submitted {
+		submitted[i].TaskID = full
+	}
+	check(t, mem, full, writeJSONBody(submitted))
+	check(t, mem, empty, writeJSONBody([]transport.Upload{}))
+	if writeJSONBody([]transport.Upload{}) != "[]\n" {
+		t.Fatal("writeJSON of no uploads is not []")
+	}
+
+	dir := filepath.Join(t.TempDir(), "store")
+	h, s, err := recoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(h)
+	must(t, s.Close())
+	h, s, err = recoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	decoded, err := h.Uploads(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, h, full, writeJSONBody(decoded))
+	check(t, h, empty, writeJSONBody([]transport.Upload{}))
 }
 
 // getJSON fetches a path and returns status, body and headers.

@@ -1,11 +1,11 @@
 package hive
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"apisense/internal/apierr"
@@ -37,14 +37,16 @@ type StoreStats = store.Stats
 // event is one log record. Exactly one payload field is set, selected by
 // Kind. The wire format has not changed since the first single-file
 // journal, which is what lets the engine adopt stores written by the
-// retired ones.
+// retired ones. Upload is the upload's own JSON, kept as bytes so that
+// replay holds what the record carries (see heldUploads); upload records
+// are written by uploadRecord.
 type event struct {
 	Kind      string                `json:"kind"`
 	Device    *transport.DeviceInfo `json:"device,omitempty"`
 	DeviceID  string                `json:"deviceId,omitempty"`
 	Task      *transport.TaskSpec   `json:"task,omitempty"`
 	Recruited []string              `json:"recruited,omitempty"`
-	Upload    *transport.Upload     `json:"upload,omitempty"`
+	Upload    json.RawMessage       `json:"upload,omitempty"`
 }
 
 // Event kinds.
@@ -55,82 +57,53 @@ const (
 	evUpload     = "upload"
 )
 
-// snapshotState is the Hive's complete in-memory image, folded into an
-// immutable snapshot by the storage engine. json.Marshal emits map keys
-// sorted and assignment sets are stored as sorted ID slices, so encoding
-// the same logical state always yields the same bytes — replay-equality
-// tests compare these images directly.
-type snapshotState struct {
-	Devices     map[string]transport.DeviceInfo `json:"devices"`
-	Tasks       map[string]transport.TaskSpec   `json:"tasks"`
-	Assignments map[string][]string             `json:"assignments"`
-	Uploads     map[string][]transport.Upload   `json:"uploads"`
-	NextTaskID  int                             `json:"nextTaskId"`
+// uploadRecordPrefix is how json.Marshal of event begins when only Kind
+// (evUpload) and Upload are set.
+const uploadRecordPrefix = `{"kind":"upload","upload":`
+
+// uploadRecord wraps an upload's encoding in its log record, byte for byte
+// what json.Marshal(event{Kind: evUpload, Upload: raw}) writes, without
+// scanning raw again.
+func uploadRecord(raw []byte) []byte {
+	rec := make([]byte, 0, len(uploadRecordPrefix)+len(raw)+1)
+	rec = append(rec, uploadRecordPrefix...)
+	rec = append(rec, raw...)
+	return append(rec, '}')
 }
 
-// encodeState serialises the registry under the read lock. The caller
-// must have quiesced appends (hold metaMu and every commit lock) for the
-// image to exactly cover the log.
-func (h *Hive) encodeState() ([]byte, error) {
-	h.mu.RLock()
-	st := snapshotState{
-		Devices:     h.devices,
-		Tasks:       h.tasks,
-		Assignments: make(map[string][]string, len(h.assignments)),
-		Uploads:     h.uploads,
-		NextTaskID:  h.nextTaskID,
-	}
-	for taskID, set := range h.assignments {
-		ids := make([]string, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		st.Assignments[taskID] = ids
-	}
-	data, err := json.Marshal(st)
-	h.mu.RUnlock()
-	if err != nil {
-		return nil, fmt.Errorf("%w: encode snapshot: %w", ErrJournalIO, err)
-	}
-	return data, nil
-}
-
-// restoreState loads a snapshot image into a fresh Hive during recovery.
-func (h *Hive) restoreState(state []byte) error {
-	var st snapshotState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return fmt.Errorf("%w: snapshot: %w", ErrCorruptJournal, err)
-	}
-	for id, d := range st.Devices {
-		h.devices[id] = d
-	}
-	for id, t := range st.Tasks {
-		h.tasks[id] = t
-	}
-	for taskID, ids := range st.Assignments {
-		set := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			set[id] = true
-		}
-		h.assignments[taskID] = set
-	}
-	for taskID, ups := range st.Uploads {
-		h.uploads[taskID] = ups
-	}
-	if st.NextTaskID > h.nextTaskID {
-		h.nextTaskID = st.NextTaskID
-	}
-	return nil
-}
-
-// applyRecord decodes one log record and applies it during recovery.
+// applyRecord decodes one log record and applies it during recovery. An
+// upload record in the form uploadRecord writes is not decoded as an
+// event: its payload is sliced out and decoded once, as the upload.
 func (h *Hive) applyRecord(rec []byte) error {
+	if raw, ok := bytes.CutPrefix(rec, []byte(uploadRecordPrefix)); ok && len(raw) > 0 && raw[len(raw)-1] == '}' {
+		return h.applyUpload(bytes.Clone(raw[:len(raw)-1]))
+	}
 	var e event
 	if err := json.Unmarshal(rec, &e); err != nil {
 		return fmt.Errorf("%w: %w", ErrCorruptJournal, err)
 	}
 	return h.apply(e)
+}
+
+// applyUpload holds raw, one upload's JSON, after decoding the two things
+// the Hive indexes it by: its task and its record count. That decode also
+// rejects anything but exactly one upload object, so a record whose
+// payload applyRecord sliced out is held only if its "upload" field is
+// all of raw. The other fields are checked when Uploads decodes them — as
+// for an upload restored from a snapshot.
+func (h *Hive) applyUpload(raw []byte) error {
+	var u struct {
+		TaskID  string     `json:"taskId"`
+		Records []struct{} `json:"records"`
+	}
+	if raw == nil || string(raw) == "null" {
+		return fmt.Errorf("%w: upload event lacks payload", ErrCorruptJournal)
+	}
+	if err := json.Unmarshal(raw, &u); err != nil {
+		return fmt.Errorf("%w: upload event: %w", ErrCorruptJournal, err)
+	}
+	h.hold(u.TaskID, raw, len(u.Records))
+	return nil
 }
 
 // AttachStore makes the Hive record every subsequent successful mutation
@@ -190,8 +163,9 @@ func (h *Hive) appendMeta(s store.Store, e event) error {
 // Mutators call it after releasing their locks; the fast path is one
 // atomic load. The fold quiesces every writer — metaMu plus all commit
 // locks, in order — so the encoded image covers exactly the records
-// appended so far. Readers are only blocked for the in-memory encode:
-// h.mu is released before the disk write.
+// appended so far. Building the image copies the held upload bytes under
+// the read lock (see encodeState); h.mu is released before the disk
+// write.
 func (h *Hive) maybeSnapshot() {
 	h.mu.RLock()
 	s := h.store
@@ -318,11 +292,7 @@ func (h *Hive) apply(e event) error {
 		}
 		return nil
 	case evUpload:
-		if e.Upload == nil {
-			return fmt.Errorf("%w: upload event lacks payload", ErrCorruptJournal)
-		}
-		h.uploads[e.Upload.TaskID] = append(h.uploads[e.Upload.TaskID], *e.Upload)
-		return nil
+		return h.applyUpload(e.Upload)
 	default:
 		return fmt.Errorf("%w: unknown event kind %q", ErrCorruptJournal, e.Kind)
 	}

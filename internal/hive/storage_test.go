@@ -2,6 +2,7 @@ package hive
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ func upload(taskID, deviceID string, seq int) transport.Upload {
 // canonicalWorkload drives a fixed mutation sequence — registrations,
 // publications, uploads, re-registration, unregistration — through h.
 // Deterministic, so every engine persists the same logical history.
-func canonicalWorkload(t *testing.T, h *Hive) []transport.TaskSpec {
+func canonicalWorkload(t testing.TB, h *Hive) []transport.TaskSpec {
 	t.Helper()
 	for i := 0; i < 5; i++ {
 		must(t, h.RegisterDevice(deviceInfo(fmt.Sprintf("d%d", i), fmt.Sprintf("user%d", i), 45.7, 4.8)))
@@ -57,22 +58,82 @@ func canonicalWorkload(t *testing.T, h *Hive) []transport.TaskSpec {
 	return specs
 }
 
-// stateImage recovers a hive from s and returns its canonical state
-// encoding (sorted maps, sorted assignment sets — byte-comparable).
-func stateImage(t *testing.T, s store.Store) []byte {
+// recoverClosed recovers a hive from s and closes s again.
+func recoverClosed(t *testing.T, s store.Store) *Hive {
 	t.Helper()
 	h, err := RecoverFrom(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := h.encodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return h
+}
+
+// stateImage recovers a hive from s and returns its snapshot image, which
+// is canonical (one state, one image) and so byte-comparable.
+func stateImage(t *testing.T, s store.Store) []byte {
+	t.Helper()
+	img, err := recoverClosed(t, s).encodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return img
+}
+
+// stateJSON is the state image earlier releases folded — the whole state
+// as one JSON object — encoded from h's decoded uploads.
+// testdata/stores/state.json is one, written by the engines the fixtures
+// come from.
+func stateJSON(t testing.TB, h *Hive) []byte {
+	t.Helper()
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	reg := h.registry()
+	st := struct {
+		Devices     map[string]transport.DeviceInfo `json:"devices"`
+		Tasks       map[string]transport.TaskSpec   `json:"tasks"`
+		Assignments map[string][]string             `json:"assignments"`
+		Uploads     map[string][]transport.Upload   `json:"uploads"`
+		NextTaskID  int                             `json:"nextTaskId"`
+	}{reg.Devices, reg.Tasks, reg.Assignments, make(map[string][]transport.Upload), reg.NextTaskID}
+	for task, held := range h.uploads {
+		for _, raw := range held.raw {
+			var u transport.Upload
+			if err := json.Unmarshal(raw, &u); err != nil {
+				t.Fatal(err)
+			}
+			st.Uploads[task] = append(st.Uploads[task], u)
+		}
+	}
+	img, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// checkCounters compares the upload and record counts Stats keeps with a
+// walk that decodes every held upload.
+func checkCounters(t *testing.T, h *Hive) {
+	t.Helper()
+	var uploads, records int
+	h.mu.RLock()
+	for _, held := range h.uploads {
+		for _, raw := range held.raw {
+			var u transport.Upload
+			if err := json.Unmarshal(raw, &u); err != nil {
+				t.Fatal(err)
+			}
+			uploads++
+			records += len(u.Records)
+		}
+	}
+	h.mu.RUnlock()
+	if st := h.Stats(); st.Uploads != uploads || st.Records != records {
+		t.Errorf("Stats counts %d uploads / %d records, a walk finds %d / %d", st.Uploads, st.Records, uploads, records)
+	}
 }
 
 // TestEnginesReplayIdenticalState: the same workload persisted at one
@@ -131,7 +192,10 @@ func TestEnginesReplayIdenticalState(t *testing.T) {
 // TestLegacyStoreFixtures: stores written by the three retired engines
 // (testdata/stores, produced by canonicalWorkload at the last commit that
 // had them) are adopted as documented and recover, at one commit shard
-// and at four, to the byte-identical state image those engines held.
+// and at four, to the byte-identical state image those engines held —
+// the segmented one from a snapshot in the earlier single-JSON-object
+// form. A fold then rewrites the snapshot in the framed form, and the
+// store recovers from that to the same state.
 func TestLegacyStoreFixtures(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "stores", "state.json"))
 	if err != nil {
@@ -153,16 +217,35 @@ func TestLegacyStoreFixtures(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				dir := t.TempDir()
 				adopt(t, filepath.Join("testdata", "stores", name), dir)
-				// Twice: the second recovery reads what the first left,
-				// the sharded layout's one-shot conversion included.
-				for life := 0; life < 2; life++ {
+				open := func() *store.Segmented {
 					s, err := store.OpenSegmented(dir, store.SegmentedConfig{Shards: shards})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := stateImage(t, s); !bytes.Equal(got, want) {
+					return s
+				}
+				// Twice: the second recovery reads what the first left,
+				// the sharded layout's one-shot conversion included.
+				for life := 0; life < 2; life++ {
+					h := recoverClosed(t, open())
+					if got := stateJSON(t, h); !bytes.Equal(got, want) {
 						t.Errorf("life %d: recovered state image differs from the fixture's (%d vs %d bytes)", life, len(got), len(want))
 					}
+					checkCounters(t, h)
+				}
+				s := open()
+				h, err := RecoverFrom(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				img, err := h.encodeState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				must(t, s.WriteSnapshot(img))
+				must(t, s.Close())
+				if got := stateImage(t, open()); !bytes.Equal(got, img) {
+					t.Errorf("recovery from the rewritten snapshot differs from the state folded into it (%d vs %d bytes)", len(got), len(img))
 				}
 			})
 		}
@@ -267,6 +350,9 @@ func recoveredHiveUnderConcurrentIngest(t *testing.T, cfg store.SegmentedConfig)
 			_ = h.Stats()
 			_, _ = h.StoreStats()
 			_ = h.Devices()
+			if _, err := h.Uploads(specs[i%len(specs)].ID); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	wg.Wait()

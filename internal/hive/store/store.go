@@ -58,8 +58,9 @@ var (
 // Hive's commit locks provide the cross-call ordering its replay needs.
 type Store interface {
 	// Recover streams persisted state back to the owner: the snapshot
-	// blob first (if one was folded), then every log record, each task's
-	// records in arrival order. Torn final appends are truncated away
+	// blob first (if one was folded; the owner may keep the slice), then
+	// every log record, each task's records in arrival order. Torn final
+	// appends are truncated away
 	// (see the package comment); corruption that cannot be a torn tail
 	// fails with ErrCorrupt. After Recover returns the engine is ready to
 	// append.
