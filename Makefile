@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build lint docs test race check bench bench-quick fuzz-smoke fmt
+.PHONY: all build lint docs test race examples check bench bench-quick fuzz-smoke fmt
 
 all: check
 
@@ -36,7 +36,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build lint test
+# examples runs every examples/* program to completion: they are the
+# facade's only non-test callers, and building them does not run them.
+examples:
+	@for d in examples/*/; do echo "== $${d%/}"; $(GO) run ./$${d%/} || exit 1; done
+
+check: build lint test examples
 
 # bench runs the repository's benchmark (bench/README.md): the four
 # workloads, untraced then traced, into bench-results.json (ignored by

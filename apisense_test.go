@@ -138,28 +138,3 @@ func TestFacadeScript(t *testing.T) {
 		t.Error("bad script should fail to parse")
 	}
 }
-
-func TestFacadeSecAgg(t *testing.T) {
-	sk, err := GeneratePaillierKey(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewHistogramSession(&sk.PublicKey, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := EncryptContribution(&sk.PublicKey, []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Add(enc); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sess.Decrypt(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("aggregate = %v", got)
-	}
-}

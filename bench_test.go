@@ -1,9 +1,9 @@
 package apisense
 
-// Benchmark harness: one testing.B benchmark per experiment of DESIGN.md §4
-// (the paper's claims C1-C3 and the platform behaviours of §2), plus
+// Benchmark harness: one testing.B benchmark per experiment table (the
+// paper's claims C1-C3 and the platform behaviours of §2), plus
 // micro-benchmarks of the hot paths (mechanisms, POI extraction, script
-// interpretation, Paillier). Run with:
+// interpretation). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -31,7 +31,6 @@ import (
 	"apisense/internal/mobgen"
 	"apisense/internal/poi"
 	"apisense/internal/script"
-	"apisense/internal/secagg"
 	"apisense/internal/trace"
 	"apisense/internal/transport"
 )
@@ -101,31 +100,8 @@ func BenchmarkE8Platform(b *testing.B) {
 	}
 }
 
-// BenchmarkE9VirtualSensor regenerates Table E9 (retrieval strategies).
-func BenchmarkE9VirtualSensor(b *testing.B) { runTable(b, exp.E9VirtualSensor) }
-
-// BenchmarkE10Incentives regenerates Table E10 (incentive strategies).
-func BenchmarkE10Incentives(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.E10Incentives(7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkE11Filters regenerates Table E11 (device privacy layer).
 func BenchmarkE11Filters(b *testing.B) { runTable(b, exp.E11Filters) }
-
-// BenchmarkE12SecAgg regenerates Table E12 (secure aggregation).
-func BenchmarkE12SecAgg(b *testing.B) {
-	w := benchWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.E12SecAgg(w, 5, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkEvaluateParallel measures the PRIVAPI evaluation engine on the
 // full default portfolio at parallelism 1 (the sequential baseline) and at
@@ -551,7 +527,7 @@ func benchTrajectory(b *testing.B) *trace.Trajectory {
 }
 
 // BenchmarkMechanismSmoothing measures the paper's algorithm on one day of
-// data (DESIGN.md §5 ablation: this is the publication hot path).
+// data (this is the publication hot path).
 func BenchmarkMechanismSmoothing(b *testing.B) {
 	tr := benchTrajectory(b)
 	m, err := lppm.NewSpeedSmoothing(100, 2)
@@ -598,7 +574,7 @@ func BenchmarkPOIExtractionStayPoints(b *testing.B) {
 }
 
 // BenchmarkPOIExtractionDJCluster measures the density-based extractor
-// (DESIGN.md §5 ablation: stay-points vs DJ-cluster attacker).
+// (ablation: stay-points vs DJ-cluster attacker).
 func BenchmarkPOIExtractionDJCluster(b *testing.B) {
 	tr := benchTrajectory(b)
 	dj, err := poi.NewDJCluster(poi.DJClusterConfig{})
@@ -647,22 +623,8 @@ function handle(loc) {
 	}
 }
 
-// BenchmarkPaillierEncrypt measures one encrypted contribution cell.
-func BenchmarkPaillierEncrypt(b *testing.B) {
-	sk, err := secagg.GenerateKey(512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.EncryptInt64(int64(i % 1000)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSmoothingEpsilonAblation sweeps the resampling step (DESIGN.md
-// §5: grain vs cost).
+// BenchmarkSmoothingEpsilonAblation sweeps the resampling step (grain vs
+// cost).
 func BenchmarkSmoothingEpsilonAblation(b *testing.B) {
 	tr := benchTrajectory(b)
 	for _, eps := range []float64{50, 100, 200, 400} {

@@ -1,6 +1,6 @@
-// Command experiments regenerates every table of EXPERIMENTS.md (E1-E13):
-// the paper's claims C1-C3, the platform behaviours of §2, and the
-// monolithic-vs-sharded publication comparison.
+// Command experiments regenerates the experiment tables E1-E8, E11 and
+// E13: the paper's claims C1-C3 (E1, E2, E4, E5), the platform behaviours
+// of §2, and the monolithic-vs-sharded publication comparison.
 //
 // Usage:
 //
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -40,11 +41,34 @@ func run(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	runners := []struct {
+		id  string
+		run func(*exp.Workload) (*exp.Table, error)
+	}{
+		{"E1", exp.E1POIRecovery},
+		{"E2", exp.E2SpeedSmoothing},
+		{"E3", exp.E3Linkage},
+		{"E4", exp.E4CrowdedPlaces},
+		{"E5", exp.E5Traffic},
+		{"E6", exp.E6Frontier},
+		{"E7", func(w *exp.Workload) (*exp.Table, error) { return exp.E7Selection(ctx, w) }},
+		{"E8", func(w *exp.Workload) (*exp.Table, error) { return exp.E8Platform(ctx, w, []int{10, 25, 50}) }},
+		{"E11", exp.E11Filters},
+		{"E13", func(w *exp.Workload) (*exp.Table, error) { return exp.E13Sharding(ctx, w) }},
+	}
+	ids := make([]string, len(runners))
+	for i, r := range runners {
+		ids[i] = r.id
+	}
 	selected := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
-			selected[id] = true
+		if id = strings.TrimSpace(strings.ToUpper(id)); id == "" {
+			continue
 		}
+		if !slices.Contains(ids, id) {
+			return fmt.Errorf("-only: unknown experiment %q (valid: %s)", id, strings.Join(ids, ", "))
+		}
+		selected[id] = true
 	}
 	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
@@ -56,24 +80,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("generated %s in %s\n\n", w.Raw.Summarize(), time.Since(start).Round(time.Millisecond))
 
-	runners := []struct {
-		id  string
-		run func() (*exp.Table, error)
-	}{
-		{"E1", func() (*exp.Table, error) { return exp.E1POIRecovery(w) }},
-		{"E2", func() (*exp.Table, error) { return exp.E2SpeedSmoothing(w) }},
-		{"E3", func() (*exp.Table, error) { return exp.E3Linkage(w) }},
-		{"E4", func() (*exp.Table, error) { return exp.E4CrowdedPlaces(w) }},
-		{"E5", func() (*exp.Table, error) { return exp.E5Traffic(w) }},
-		{"E6", func() (*exp.Table, error) { return exp.E6Frontier(w) }},
-		{"E7", func() (*exp.Table, error) { return exp.E7Selection(ctx, w) }},
-		{"E8", func() (*exp.Table, error) { return exp.E8Platform(ctx, w, []int{10, 25, 50}) }},
-		{"E9", func() (*exp.Table, error) { return exp.E9VirtualSensor(w) }},
-		{"E10", func() (*exp.Table, error) { return exp.E10Incentives(*seed) }},
-		{"E11", func() (*exp.Table, error) { return exp.E11Filters(w) }},
-		{"E12", func() (*exp.Table, error) { return exp.E12SecAgg(w, 10, 32) }},
-		{"E13", func() (*exp.Table, error) { return exp.E13Sharding(ctx, w) }},
-	}
 	for _, r := range runners {
 		if !want(r.id) {
 			continue
@@ -82,7 +88,7 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		t0 := time.Now()
-		tab, err := r.run()
+		tab, err := r.run(w)
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.id, err)
 		}

@@ -6,10 +6,15 @@
 //
 //	honeycomb deploy -hive http://127.0.0.1:8080 -script task.js -name my-exp
 //	honeycomb collect -hive http://127.0.0.1:8080 -task task-0001 -out data.csv [-private]
+//
+// With -private every release is pseudonymised under a fresh 32-byte key
+// from crypto/rand, which is never printed: two releases of the same task
+// share no pseudonym.
 package main
 
 import (
 	"context"
+	"crypto/rand"
 	"flag"
 	"fmt"
 	"os"
@@ -108,9 +113,13 @@ func runCollect(args []string) error {
 	fmt.Printf("collected %d uploads: %s\n", len(ups), ds.Summarize())
 
 	if *private {
+		key := make([]byte, 32)
+		if _, err := rand.Read(key); err != nil {
+			return fmt.Errorf("draw pseudonym key: %w", err)
+		}
 		release, sel, err := hc.PublishPrivate(ds, core.Config{
 			MaxPOIExposure: *floor,
-			PseudonymKey:   []byte("honeycomb-release"),
+			PseudonymKey:   key,
 		})
 		if err != nil {
 			return err

@@ -6,13 +6,21 @@
 //
 //	privapi protect -in traces.csv -out protected.csv -mechanism smoothing:eps=100
 //	privapi publish -in traces.csv -out release.csv -objective crowded-places -floor 0.33
+//	privapi publish -in traces.csv -out release.csv -pseudonym-key-file release.key
 //	privapi publish -in traces.csv -out release.csv -shard-by window -shards 7
 //	privapi publish -in traces.csv -out release.csv -shard-by cell:size=1500
 //	privapi analyze -in traces.csv
+//
+// A release's pseudonyms are HMACs of the user IDs under a secret key.
+// publish draws a fresh 32-byte key from crypto/rand for every run, so two
+// releases share no pseudonym; -pseudonym-key-file names a file whose
+// bytes (verbatim) are the key instead, for releases that must be
+// reproducible or linkable. The key is never printed.
 package main
 
 import (
 	"context"
+	"crypto/rand"
 	"flag"
 	"fmt"
 	"math"
@@ -74,7 +82,7 @@ func runProtect(ctx context.Context, args []string) error {
 	in := fs.String("in", "", "input CSV dataset")
 	out := fs.String("out", "protected.csv", "output CSV path")
 	spec := fs.String("mechanism", "smoothing:eps=100", "mechanism spec (see lppm.FromSpec)")
-	key := fs.String("pseudonym-key", "", "optional pseudonymisation key")
+	keyFile := fs.String("pseudonym-key-file", "", "file holding the pseudonymisation key (empty = no pseudonymisation)")
 	parallelism := fs.Int("parallelism", 0, "worker goroutines (0 = one per CPU)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,8 +102,12 @@ func runProtect(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *key != "" {
-		p, err := trace.NewPseudonymizer([]byte(*key))
+	if *keyFile != "" {
+		key, err := pseudonymKey(*keyFile)
+		if err != nil {
+			return err
+		}
+		p, err := trace.NewPseudonymizer(key)
 		if err != nil {
 			return err
 		}
@@ -165,7 +177,7 @@ func runPublish(ctx context.Context, args []string) error {
 	out := fs.String("out", "release.csv", "output CSV path")
 	objectiveName := fs.String("objective", "crowded-places", "utility objective")
 	floor := fs.Float64("floor", 0.33, "privacy floor (max POI exposure f1)")
-	key := fs.String("pseudonym-key", "release-key", "pseudonymisation key")
+	keyFile := fs.String("pseudonym-key-file", "", "file holding the pseudonymisation key (empty = a fresh random key per run)")
 	parallelism := fs.Int("parallelism", 0, "evaluation workers (0 = one per CPU)")
 	shardBy := fs.String("shard-by", "", "shard policy: cell, window, user, or a spec like cell:size=1500 (empty = monolithic)")
 	shards := fs.Int("shards", 0, "target shard count for a bare -shard-by policy (0 = policy defaults)")
@@ -184,11 +196,15 @@ func runPublish(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	key, err := pseudonymKey(*keyFile)
+	if err != nil {
+		return err
+	}
 	cache := newCache(*cacheMB)
 	mw, err := core.New(core.Config{
 		Objective:      objective,
 		MaxPOIExposure: *floor,
-		PseudonymKey:   []byte(*key),
+		PseudonymKey:   key,
 		Parallelism:    *parallelism,
 		Cache:          cache,
 	}, origin)
@@ -270,6 +286,26 @@ func runAnalyze(ctx context.Context, args []string) error {
 			ev.HotspotOverlap, ev.TrafficUtility, floor)
 	}
 	return nil
+}
+
+// pseudonymKey reads the key file at path, or draws a fresh 32-byte key
+// from crypto/rand when path is empty.
+func pseudonymKey(path string) ([]byte, error) {
+	if path == "" {
+		key := make([]byte, 32)
+		if _, err := rand.Read(key); err != nil {
+			return nil, fmt.Errorf("draw pseudonym key: %w", err)
+		}
+		return key, nil
+	}
+	key, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("read pseudonym key: %w", err)
+	}
+	if len(key) == 0 {
+		return nil, fmt.Errorf("pseudonym key file %s is empty", path)
+	}
+	return key, nil
 }
 
 // newCache sizes the optional evaluation cache; a typed nil interface must

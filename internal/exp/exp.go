@@ -1,8 +1,9 @@
-// Package exp is the experiment harness: one runner per experiment of
-// DESIGN.md §4 (E1–E12, plus E13 for sharded publication), each
-// regenerating the corresponding table of EXPERIMENTS.md. The runners are
-// shared by the cmd/experiments binary and the root-level benchmarks, and
-// all take an explicit seed so results are reproducible.
+// Package exp is the experiment harness: one runner per experiment table,
+// E1–E8, E11 and E13. E1, E2, E4 and E5 reproduce the paper's claims
+// C1–C3; the others cover the platform pipeline, the device-side filters
+// and sharded publication. The runners are shared by the cmd/experiments
+// binary and the root-level benchmarks, and all take an explicit seed so
+// results are reproducible.
 package exp
 
 import (

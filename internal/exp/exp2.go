@@ -13,12 +13,9 @@ import (
 	"apisense/internal/geo"
 	"apisense/internal/hive"
 	"apisense/internal/honeycomb"
-	"apisense/internal/incentive"
 	"apisense/internal/lppm"
 	"apisense/internal/metrics"
-	"apisense/internal/secagg"
 	"apisense/internal/transport"
-	"apisense/internal/vsensor"
 )
 
 // E6Frontier runs experiment E6: the privacy-utility frontier sweep that
@@ -202,108 +199,6 @@ func E8Platform(ctx context.Context, w *Workload, fleetSizes []int) (*Table, err
 	return t, nil
 }
 
-// E9VirtualSensor runs experiment E9: round-robin vs energy-aware vs random
-// retrieval strategies on a heterogeneous fleet.
-func E9VirtualSensor(w *Workload) (*Table, error) {
-	t := &Table{
-		ID:      "E9",
-		Title:   "Virtual sensor strategies (40 devices, heterogeneous batteries, 1 day)",
-		Columns: []string{"strategy", "samples", "failures", "battery-min", "battery-std", "dead", "fairness"},
-	}
-	byUser := w.Raw.ByUser()
-	n := 40
-	if n > len(w.City.Residents) {
-		n = len(w.City.Residents)
-	}
-	batteries := []float64{10, 100, 35, 100, 60, 100, 20, 100}
-	build := func() ([]*device.Device, error) {
-		var out []*device.Device
-		for i, res := range w.City.Residents[:n] {
-			b := device.NewBattery(batteries[i%len(batteries)])
-			b.DrainPerFix = 0.25
-			d, err := device.New(device.Config{
-				ID: fmt.Sprintf("vs-%02d", i), User: res.User,
-				Movement: byUser[res.User][0], Battery: b,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, d)
-		}
-		return out, nil
-	}
-	start, _, _ := w.Raw.TimeSpan()
-	coverage, err := vsensor.NewCoverageAware(w.Grid)
-	if err != nil {
-		return nil, err
-	}
-	for _, strat := range []vsensor.Strategy{
-		vsensor.RoundRobin{}, vsensor.EnergyAware{}, vsensor.NewRandom(4), coverage,
-	} {
-		devs, err := build()
-		if err != nil {
-			return nil, err
-		}
-		vs, err := vsensor.New("exp9", devs, strat)
-		if err != nil {
-			return nil, err
-		}
-		res, err := vs.Campaign(start, start.Add(24*time.Hour), 30*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			res.Strategy,
-			fmt.Sprintf("%d", res.Samples),
-			fmt.Sprintf("%d", res.Failures),
-			fmt.Sprintf("%.1f", res.BatteryMin),
-			fmt.Sprintf("%.2f", res.BatteryStd),
-			fmt.Sprintf("%d", res.Dead),
-			fmtF(res.Fairness),
-		})
-	}
-	return t, nil
-}
-
-// E10Incentives runs experiment E10: contributions and retention per
-// incentive strategy over a 30-day campaign.
-func E10Incentives(seed uint64) (*Table, error) {
-	t := &Table{
-		ID:      "E10",
-		Title:   "Incentive strategies (200 contributors, 30 days)",
-		Columns: []string{"strategy", "contributions", "day1-7", "day24-30", "retention"},
-	}
-	strategies := []incentive.Strategy{
-		incentive.None{}, incentive.Feedback{}, incentive.NewRanking(),
-		incentive.NewRewarding(), incentive.NewWinWin(),
-	}
-	for _, s := range strategies {
-		pop, err := incentive.NewPopulation(200, seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := incentive.Simulate(pop, s, 30)
-		if err != nil {
-			return nil, err
-		}
-		var first, last float64
-		for _, v := range res.Daily[:7] {
-			first += v
-		}
-		for _, v := range res.Daily[23:] {
-			last += v
-		}
-		t.Rows = append(t.Rows, []string{
-			res.Strategy,
-			fmt.Sprintf("%d", res.Total),
-			fmtPct(first / 7),
-			fmtPct(last / 7),
-			fmtF(res.Retention),
-		})
-	}
-	return t, nil
-}
-
 // E11Filters runs experiment E11: effect of the device-side privacy layer
 // on what leaves the phone and on POI recovery.
 func E11Filters(w *Workload) (*Table, error) {
@@ -376,111 +271,4 @@ func E11Filters(w *Workload) (*Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// E12SecAgg runs experiment E12: exactness and cost of the secure
-// aggregation extension (Paillier heatmap vs plaintext sums).
-func E12SecAgg(w *Workload, users, cells int) (*Table, error) {
-	t := &Table{
-		ID:      "E12",
-		Title:   "Secure aggregation: private crowd heatmap (Paillier, 512-bit test key)",
-		Columns: []string{"scheme", "devices", "cells", "exact", "time-per-device"},
-	}
-	if users > len(w.City.Residents) {
-		users = len(w.City.Residents)
-	}
-	// Per-device cell counts from day-one movement.
-	counts := make([][]int64, users)
-	byUser := w.Raw.ByUser()
-	for i, res := range w.City.Residents[:users] {
-		vec := make([]int64, cells)
-		for _, r := range byUser[res.User][0].Records {
-			c := w.Grid.CellOf(r.Pos)
-			vec[(c.Row*31+c.Col)%cells]++
-		}
-		counts[i] = vec
-	}
-	want := make([]int64, cells)
-	for _, vec := range counts {
-		for i, v := range vec {
-			want[i] += v
-		}
-	}
-
-	// Paillier path.
-	sk, err := secagg.GenerateKey(512)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := secagg.NewHistogramSession(&sk.PublicKey, cells)
-	if err != nil {
-		return nil, err
-	}
-	startP := time.Now()
-	for _, vec := range counts {
-		enc, err := secagg.EncryptContribution(&sk.PublicKey, vec)
-		if err != nil {
-			return nil, err
-		}
-		if err := sess.Add(enc); err != nil {
-			return nil, err
-		}
-	}
-	got, err := sess.Decrypt(sk)
-	if err != nil {
-		return nil, err
-	}
-	perDevP := time.Since(startP) / time.Duration(users)
-	exactP := equalVec(got, want)
-
-	// Secret-sharing path (2 aggregators).
-	aggA, err := secagg.NewShareAggregator(cells)
-	if err != nil {
-		return nil, err
-	}
-	aggB, err := secagg.NewShareAggregator(cells)
-	if err != nil {
-		return nil, err
-	}
-	startS := time.Now()
-	for _, vec := range counts {
-		shares, err := secagg.Split(vec, 2)
-		if err != nil {
-			return nil, err
-		}
-		if err := aggA.Add(shares[0]); err != nil {
-			return nil, err
-		}
-		if err := aggB.Add(shares[1]); err != nil {
-			return nil, err
-		}
-	}
-	gotS, err := secagg.Combine([]secagg.Shares{aggA.Sum(), aggB.Sum()})
-	if err != nil {
-		return nil, err
-	}
-	perDevS := time.Since(startS) / time.Duration(users)
-	exactS := equalVec(gotS, want)
-
-	t.Rows = append(t.Rows, []string{
-		"paillier", fmt.Sprintf("%d", users), fmt.Sprintf("%d", cells),
-		fmt.Sprintf("%v", exactP), perDevP.Round(time.Microsecond).String(),
-	})
-	t.Rows = append(t.Rows, []string{
-		"secret-sharing", fmt.Sprintf("%d", users), fmt.Sprintf("%d", cells),
-		fmt.Sprintf("%v", exactS), perDevS.Round(time.Microsecond).String(),
-	})
-	return t, nil
-}
-
-func equalVec(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

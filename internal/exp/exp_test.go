@@ -232,46 +232,6 @@ func TestE8PlatformShape(t *testing.T) {
 	}
 }
 
-func TestE9VirtualSensorShape(t *testing.T) {
-	tab, err := E9VirtualSensor(workload(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	render(t, tab)
-	stats := map[string][]string{}
-	for _, row := range tab.Rows {
-		stats[row[0]] = row
-	}
-	rrDead, _ := strconv.Atoi(stats["round-robin"][5])
-	eaDead, _ := strconv.Atoi(stats["energy-aware"][5])
-	if eaDead > rrDead {
-		t.Errorf("energy-aware killed %d devices vs round-robin %d", eaDead, rrDead)
-	}
-	rrStd, _ := strconv.ParseFloat(stats["round-robin"][4], 64)
-	eaStd, _ := strconv.ParseFloat(stats["energy-aware"][4], 64)
-	if eaStd > rrStd {
-		t.Errorf("energy-aware battery spread %.2f should be <= round-robin %.2f", eaStd, rrStd)
-	}
-}
-
-func TestE10IncentivesShape(t *testing.T) {
-	tab, err := E10Incentives(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	render(t, tab)
-	totals := map[string]int{}
-	for _, row := range tab.Rows {
-		n, _ := strconv.Atoi(row[1])
-		totals[row[0]] = n
-	}
-	for _, s := range []string{"feedback", "ranking", "rewarding", "win-win"} {
-		if totals[s] <= totals["none"] {
-			t.Errorf("%s total %d does not beat baseline %d", s, totals[s], totals["none"])
-		}
-	}
-}
-
 func TestE11FiltersShape(t *testing.T) {
 	tab, err := E11Filters(workload(t))
 	if err != nil {
@@ -335,22 +295,6 @@ func TestE13ShardingShape(t *testing.T) {
 		}
 		if utility < 0.4 {
 			t.Errorf("%s: weighted utility %.3f collapsed vs monolithic %s", mode, utility, cell(tab, 0, 5))
-		}
-	}
-}
-
-func TestE12SecAggShape(t *testing.T) {
-	tab, err := E12SecAgg(workload(t), 5, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	render(t, tab)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[3] != "true" {
-			t.Errorf("%s aggregation not exact", row[0])
 		}
 	}
 }
