@@ -88,6 +88,24 @@ func pruneRecordKey(fp, pruneKey, strategy string) string {
 	return "prune" + keySep + fp + keySep + pruneKey + keySep + strategy
 }
 
+// contentHashes are the content hashes of one run's raw dataset: every
+// trajectory's, in dataset order, and the whole dataset's (their
+// combination). A run computes them once and derives every raw-side key
+// from them — the selection key, the pruning guard and the per-user
+// reference-POI keys. Without a cache they are left zero.
+type contentHashes struct {
+	trajectories [][trace.HashSize]byte
+	dataset      [trace.HashSize]byte
+}
+
+func (m *Middleware) hashContent(raw *trace.Dataset) contentHashes {
+	if m.cache == nil {
+		return contentHashes{}
+	}
+	th := raw.TrajectoryHashes()
+	return contentHashes{trajectories: th, dataset: trace.CombineHashes(th...)}
+}
+
 // ---- cost estimates ----
 
 // Approximate per-element retained sizes, used as evalcache costs. They
@@ -149,29 +167,41 @@ func (c cachingExtractor) Extract(t *trace.Trajectory) []poi.POI {
 
 // referencePOIs is ReferencePOIs with per-user memoization: users whose
 // trajectory set is unchanged since a prior publication reuse their
-// extracted reference POIs. Without a cache it falls through to the
-// uncached path. The result is identical to ReferencePOIs: a user appears
-// iff extraction found at least one POI (empty extractions are memoised
-// too, as an empty marker).
-func (m *Middleware) referencePOIs(raw *trace.Dataset) (map[string][]geo.Point, error) {
+// extracted reference POIs. hashes are raw's trajectory hashes (see
+// contentHashes); each user's key combines theirs, in dataset order.
+// Without a cache it falls through to the uncached path. The result is
+// identical to ReferencePOIs: a user appears iff extraction found at least
+// one POI (empty extractions are memoised too, as an empty marker). The
+// point slices are shared with the cache; the engine only reads them.
+func (m *Middleware) referencePOIs(raw *trace.Dataset, hashes [][trace.HashSize]byte) (map[string][]geo.Point, error) {
 	if m.cache == nil {
 		return m.ReferencePOIs(raw)
 	}
-	out := make(map[string][]geo.Point)
-	for user, trs := range raw.ByUser() {
-		hashes := make([][trace.HashSize]byte, len(trs))
-		for i, t := range trs {
-			hashes[i] = t.ContentHash()
+	type userSet struct {
+		trs    []*trace.Trajectory
+		hashes [][trace.HashSize]byte
+	}
+	users := make(map[string]*userSet)
+	for i, t := range raw.Trajectories {
+		u := users[t.User]
+		if u == nil {
+			u = &userSet{}
+			users[t.User] = u
 		}
-		key := refPOIKey(m.fp.refPOI, trace.CombineHashes(hashes...))
+		u.trs = append(u.trs, t)
+		u.hashes = append(u.hashes, hashes[i])
+	}
+	out := make(map[string][]geo.Point)
+	for user, u := range users {
+		key := refPOIKey(m.fp.refPOI, trace.CombineHashes(u.hashes...))
 		if v, ok := m.cache.Get(key); ok {
 			if pts := v.([]geo.Point); len(pts) > 0 {
-				out[user] = append([]geo.Point(nil), pts...)
+				out[user] = pts
 			}
 			continue
 		}
 		var pois []poi.POI
-		for _, t := range trs {
+		for _, t := range u.trs {
 			pois = append(pois, m.refExtractor.Extract(t)...)
 		}
 		var pts []geo.Point
@@ -183,7 +213,7 @@ func (m *Middleware) referencePOIs(raw *trace.Dataset) (map[string][]geo.Point, 
 			}
 			out[user] = pts
 		}
-		m.cache.Put(key, append([]geo.Point(nil), pts...), int64(len(pts))*pointCost+keyCost)
+		m.cache.Put(key, pts, int64(len(pts))*pointCost+keyCost)
 	}
 	return out, nil
 }
@@ -196,51 +226,40 @@ func (m *Middleware) referencePOIs(raw *trace.Dataset) (map[string][]geo.Point, 
 // dataset (or shard) content hash, so PublishShardedContext skips
 // evaluation of unchanged shards entirely and monolithic re-publication
 // of an unchanged dataset is a single lookup.
+//
+// A cached selection is immutable and shared: the engine stores the very
+// scorecard and dataset the run produced, and every later run on the same
+// content reads them in place. Nothing inside the engine writes to them;
+// the one copy is made where a result leaves the engine (see
+// Middleware.handOut and Middleware.scorecard).
 type cachedSelection struct {
 	evals  []Evaluation
 	winIdx int            // -1 when no strategy met the floor
 	prot   *trace.Dataset // nil when winIdx < 0
 }
 
-// loadSelection returns a private copy of the cached selection for the
-// dataset, if present. Copies are handed out (and stored, see
-// storeSelection) so neither the caller nor the cache can mutate the
-// other's view.
-func (m *Middleware) loadSelection(raw *trace.Dataset) (cachedSelection, bool) {
+// loadSelection returns the shared cached selection for the dataset hash,
+// if present.
+func (m *Middleware) loadSelection(hash [trace.HashSize]byte) (*cachedSelection, bool) {
 	if m.cache == nil {
-		return cachedSelection{}, false
+		return nil, false
 	}
-	v, ok := m.cache.Get(selectionKey(m.fp.selection, raw.ContentHash()))
+	v, ok := m.cache.Get(selectionKey(m.fp.selection, hash))
 	if !ok {
-		return cachedSelection{}, false
+		return nil, false
 	}
-	cs := v.(*cachedSelection)
-	out := cachedSelection{
-		evals:  append([]Evaluation(nil), cs.evals...),
-		winIdx: cs.winIdx,
-	}
-	if cs.prot != nil {
-		out.prot = cs.prot.Clone()
-	}
-	return out, true
+	return v.(*cachedSelection), true
 }
 
-// storeSelection caches a selection result for the dataset, copying the
-// mutable parts so later engine or caller activity cannot poison the
-// entry.
-func (m *Middleware) storeSelection(raw *trace.Dataset, evals []Evaluation, winIdx int, prot *trace.Dataset) {
+// storeSelection caches a selection result under the dataset hash. The
+// cache takes the result as it is; the caller must not modify it
+// afterwards.
+func (m *Middleware) storeSelection(hash [trace.HashSize]byte, cs *cachedSelection) {
 	if m.cache == nil {
 		return
 	}
-	cs := &cachedSelection{
-		evals:  append([]Evaluation(nil), evals...),
-		winIdx: winIdx,
-	}
-	if winIdx >= 0 && prot != nil {
-		cs.prot = prot.Clone()
-	}
 	cost := evalsCost(cs.evals) + datasetCost(cs.prot) + keyCost
-	m.cache.Put(selectionKey(m.fp.selection, raw.ContentHash()), cs, cost)
+	m.cache.Put(selectionKey(m.fp.selection, hash), cs, cost)
 }
 
 // ---- adaptive portfolio pruning ----

@@ -112,6 +112,75 @@ func TestPublishShardedColdWarmByteIdentical(t *testing.T) {
 	}
 }
 
+// TestReleaseMutationCannotPoisonCache: cached selections are shared, so
+// the release and report a caller receives must be its own copies. Every
+// publication's output is overwritten before the next; each must still
+// match a cold publication byte for byte.
+func TestReleaseMutationCannotPoisonCache(t *testing.T) {
+	ds := fixture(t)
+	by, err := NewShardByUser(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := func(rel *trace.Dataset, evals ...[]Evaluation) {
+		for _, tr := range rel.Trajectories {
+			tr.User = "poisoned"
+			for i := range tr.Records {
+				tr.Records[i] = trace.Record{Accuracy: -1}
+			}
+		}
+		for _, es := range evals {
+			for i := range es {
+				es[i] = Evaluation{Strategy: "poisoned"}
+			}
+		}
+	}
+	for _, key := range [][]byte{nil, []byte("warm")} {
+		for _, sharded := range []bool{false, true} {
+			name := fmt.Sprintf("sharded=%v/pseudonyms=%v", sharded, key != nil)
+			publish := func(m *Middleware) (*trace.Dataset, any, [][]Evaluation) {
+				if !sharded {
+					rel, sel, err := m.PublishContext(context.Background(), ds)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return rel, sel, [][]Evaluation{sel.Evaluations}
+				}
+				rel, sel, err := m.PublishShardedContext(context.Background(), ds, by)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var evals [][]Evaluation
+				for _, sh := range sel.Shards {
+					evals = append(evals, sh.Evaluations)
+				}
+				return rel, sel, evals
+			}
+			cold, err := New(Config{Parallelism: 2, PseudonymKey: key}, lyon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, sel, _ := publish(cold)
+			wantRel, wantSel := marshal(t, rel), marshal(t, sel)
+
+			warm, err := New(Config{Parallelism: 2, PseudonymKey: key, Cache: evalcache.NewLRU(0)}, lyon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 5; k++ { // fill, warm, then three republications
+				rel, sel, evals := publish(warm)
+				if marshal(t, rel) != wantRel {
+					t.Errorf("%s: publication %d: release differs from cold", name, k)
+				}
+				if marshal(t, sel) != wantSel {
+					t.Errorf("%s: publication %d: report differs from cold", name, k)
+				}
+				poison(rel, evals...)
+			}
+		}
+	}
+}
+
 // TestWarmPublishSkipsProtection: an unchanged dataset must be served
 // entirely from the selection cache — the mechanisms never run again.
 func TestWarmPublishSkipsProtection(t *testing.T) {
@@ -295,7 +364,7 @@ func TestReferencePOIsCachedMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pass := range []string{"cold", "warm"} {
-		got, err := m.referencePOIs(ds)
+		got, err := m.referencePOIs(ds, ds.TrajectoryHashes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,12 +32,13 @@ type evalContext struct {
 	rawHash [trace.HashSize]byte
 }
 
-// newEvalContext derives the shared analysis state from the raw dataset.
-func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset) (*evalContext, error) {
+// newEvalContext derives the shared analysis state from the raw dataset
+// and its content hashes (zero without a cache).
+func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset, hs contentHashes) (*evalContext, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	truth, err := m.referencePOIs(raw)
+	truth, err := m.referencePOIs(raw, hs.trajectories)
 	if err != nil {
 		return nil, err
 	}
@@ -52,15 +53,12 @@ func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset) (*e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ec := &evalContext{
-		raw:   raw,
-		truth: truth,
-		view:  metrics.NewRawView(raw, grid, m.cfg.TopK, lastDay(raw)),
-	}
-	if m.cache != nil {
-		ec.rawHash = raw.ContentHash()
-	}
-	return ec, nil
+	return &evalContext{
+		raw:     raw,
+		truth:   truth,
+		view:    metrics.NewRawView(raw, grid, m.cfg.TopK, lastDay(raw)),
+		rawHash: hs.dataset,
+	}, nil
 }
 
 // lastDay is the train/test cut of the traffic-utility score: the UTC
@@ -177,8 +175,8 @@ func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lp
 // keeps no protected data at all. pruneKey scopes adaptive pruning (see
 // evaluateStrategy); empty disables it, which Evaluate relies on to stay a
 // pure scorecard.
-func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, track *winner, budget int, pruneKey string) ([]Evaluation, error) {
-	ec, err := m.newEvalContext(ctx, raw)
+func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hs contentHashes, track *winner, budget int, pruneKey string) ([]Evaluation, error) {
+	ec, err := m.newEvalContext(ctx, raw, hs)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +219,7 @@ func (m *Middleware) EvaluateContext(ctx context.Context, raw *trace.Dataset) (e
 	// No selection caching and no pruning: Evaluate is a pure scorecard and
 	// must always report the full attack for every strategy. It still
 	// benefits from the reference-POI and attacker-extraction memoization.
-	return m.evaluateAll(ctx, raw, nil, m.cfg.Parallelism, "")
+	return m.evaluateAll(ctx, raw, m.hashContent(raw), nil, m.cfg.Parallelism, "")
 }
 
 // Evaluate scores every candidate strategy against the raw dataset. It is
@@ -237,26 +235,59 @@ func (m *Middleware) Evaluate(raw *trace.Dataset) ([]Evaluation, error) {
 // dataset) from the evaluation cache when the dataset content and the
 // configuration fingerprint match a prior run. Cache hits bypass pruning
 // entirely, so unchanged data always reports the full cold scorecard.
-func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, pruneKey string, budget int) (evals []Evaluation, winIdx int, prot *trace.Dataset, err error) {
+// raw's trajectories are hashed once here; every cache key of the run is
+// derived from those hashes. With a cache the result is shared with it and
+// must reach the caller only through handOut and scorecard.
+func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, pruneKey string, budget int) (_ *cachedSelection, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, -1, nil, err
+		return nil, err
 	}
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.select")
 	defer func() { endSpan(sp, err) }()
-	if cs, ok := m.loadSelection(raw); ok {
+	hs := m.hashContent(raw)
+	if cs, ok := m.loadSelection(hs.dataset); ok {
 		sp.SetAttr(otrace.Bool("cache_hit", true))
-		return cs.evals, cs.winIdx, cs.prot, nil
+		return cs, nil
 	}
 	if m.cache != nil {
 		sp.SetAttr(otrace.Bool("cache_hit", false))
 	}
 	track := &winner{idx: -1}
-	evals, err = m.evaluateAll(ctx, raw, track, budget, pruneKey)
+	evals, err := m.evaluateAll(ctx, raw, hs, track, budget, pruneKey)
 	if err != nil {
-		return nil, -1, nil, err
+		return nil, err
 	}
-	m.storeSelection(raw, evals, track.idx, track.prot)
-	return evals, track.idx, track.prot, nil
+	cs := &cachedSelection{evals: evals, winIdx: track.idx, prot: track.prot}
+	m.storeSelection(hs.dataset, cs)
+	return cs, nil
+}
+
+// handOut returns the release a publication gives its caller. With a
+// cache the protected data is shared with cached selections, so the caller
+// gets the one copy of it: the pseudonymizer makes that copy, and without
+// a pseudonym key the release is cloned. Cache-less releases are the run's
+// own and leave uncopied.
+func (m *Middleware) handOut(release *trace.Dataset) (*trace.Dataset, error) {
+	if len(m.cfg.PseudonymKey) > 0 {
+		p, err := trace.NewPseudonymizer(m.cfg.PseudonymKey)
+		if err != nil {
+			return nil, fmt.Errorf("core: pseudonymizer: %w", err)
+		}
+		return p.Apply(release), nil
+	}
+	if m.cache != nil {
+		return release.Clone(), nil
+	}
+	return release, nil
+}
+
+// scorecard returns evals for a caller's report: a copy with a cache,
+// since cached scorecards are shared.
+func (m *Middleware) scorecard(evals []Evaluation) []Evaluation {
+	if m.cache == nil {
+		return evals
+	}
+	return append([]Evaluation(nil), evals...)
 }
 
 // PublishContext evaluates the portfolio, selects the best strategy meeting
@@ -271,28 +302,24 @@ func (m *Middleware) PublishContext(ctx context.Context, raw *trace.Dataset) (_ 
 	defer m.cfg.Metrics.observePublish(t0)
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.publish")
 	defer func() { endSpan(sp, err) }()
-	evals, winIdx, prot, err := m.selectStrategies(ctx, raw, monolithicPruneKey, m.cfg.Parallelism)
+	cs, err := m.selectStrategies(ctx, raw, monolithicPruneKey, m.cfg.Parallelism)
 	if err != nil {
 		return nil, nil, err
 	}
 	sel := &Selection{
 		Objective:   m.cfg.Objective,
 		Floor:       m.cfg.MaxPOIExposure,
-		Evaluations: evals,
+		Evaluations: m.scorecard(cs.evals),
 	}
-	if winIdx < 0 {
+	if cs.winIdx < 0 {
 		return nil, sel, ErrNoStrategy
 	}
-	sel.Chosen = evals[winIdx].Strategy
-
-	if len(m.cfg.PseudonymKey) > 0 {
-		p, err := trace.NewPseudonymizer(m.cfg.PseudonymKey)
-		if err != nil {
-			return nil, sel, fmt.Errorf("core: pseudonymizer: %w", err)
-		}
-		prot = p.Apply(prot)
+	sel.Chosen = cs.evals[cs.winIdx].Strategy
+	release, err := m.handOut(cs.prot)
+	if err != nil {
+		return nil, sel, err
 	}
-	return prot, sel, nil
+	return release, sel, nil
 }
 
 // Publish is PublishContext with a background context.

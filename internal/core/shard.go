@@ -279,30 +279,23 @@ type ShardedSelection struct {
 	Withheld int
 }
 
-// shardResult is one shard's raw engine output before merging.
-type shardResult struct {
-	evals  []Evaluation
-	winIdx int // -1 when no strategy met the floor
-	prot   *trace.Dataset
-}
-
 // publishShard runs the selection engine on one shard with the given
 // worker budget, returning the scorecard and the winner's protected data.
 // Selection is cached per shard-content hash (see selectStrategies), so an
 // incremental re-publication only evaluates the shards whose data changed;
 // the shard key scopes the pruning records.
-func (m *Middleware) publishShard(ctx context.Context, sh Shard, budget int) (_ shardResult, err error) {
+func (m *Middleware) publishShard(ctx context.Context, sh Shard, budget int) (_ *cachedSelection, err error) {
 	t0 := m.cfg.Metrics.start()
 	defer m.cfg.Metrics.observeShard(t0)
 	// Shard keys are policy-derived (grid cells, time windows, hash
 	// buckets), never user identifiers, so they are telemetry-safe.
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.shard", otrace.String("key", sh.Key))
 	defer func() { endSpan(sp, err) }()
-	evals, winIdx, prot, err := m.selectStrategies(ctx, sh.Data, sh.Key, budget)
+	cs, err := m.selectStrategies(ctx, sh.Data, sh.Key, budget)
 	if err != nil {
-		return shardResult{}, fmt.Errorf("core: shard %s: %w", sh.Key, err)
+		return nil, fmt.Errorf("core: shard %s: %w", sh.Key, err)
 	}
-	return shardResult{evals: evals, winIdx: winIdx, prot: prot}, nil
+	return cs, nil
 }
 
 // PublishShardedContext partitions raw with by, runs the strategy-selection
@@ -352,7 +345,7 @@ func (m *Middleware) PublishShardedContext(ctx context.Context, raw *trace.Datas
 	}
 	inner := m.cfg.Parallelism / outer
 
-	results := make([]shardResult, len(shards))
+	results := make([]*cachedSelection, len(shards))
 	err = par.For(ctx, len(shards), outer, func(ctx context.Context, i int) error {
 		res, err := m.publishShard(ctx, shards[i], inner)
 		if err != nil {
@@ -380,7 +373,7 @@ func (m *Middleware) PublishShardedContext(ctx context.Context, raw *trace.Datas
 			Key:          sh.Key,
 			Trajectories: sh.Data.Len(),
 			Records:      sh.Data.NumRecords(),
-			Evaluations:  res.evals,
+			Evaluations:  m.scorecard(res.evals),
 		}
 		if res.winIdx >= 0 {
 			win := res.evals[res.winIdx]
@@ -415,13 +408,8 @@ func (m *Middleware) PublishShardedContext(ctx context.Context, raw *trace.Datas
 	if sel.Released == 0 {
 		return nil, sel, ErrNoStrategy
 	}
-
-	if len(m.cfg.PseudonymKey) > 0 {
-		p, err := trace.NewPseudonymizer(m.cfg.PseudonymKey)
-		if err != nil {
-			return nil, sel, fmt.Errorf("core: pseudonymizer: %w", err)
-		}
-		release = p.Apply(release)
+	if release, err = m.handOut(release); err != nil {
+		return nil, sel, err
 	}
 	return release, sel, nil
 }

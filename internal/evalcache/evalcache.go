@@ -20,9 +20,10 @@
 //
 // Keys are content-addressed: the same key always maps to the same value,
 // so a cache hit is byte-identical to recomputation and reports stay
-// byte-identical between cold and warm runs. Values stored in the cache
-// are treated as immutable; callers that hand out cached data must copy
-// it first (the engine clones datasets and slices on both Put and Get).
+// byte-identical between cold and warm runs. Cached values are immutable
+// and shared: the engine stores what a run produced and later runs read
+// it in place, without copying on Put or Get. The only copy is made at the
+// release — the dataset and scorecards a publication hands its caller.
 //
 // Cache is an interface so later work can add a persistent backend behind
 // the same engine wiring; NewLRU is the first backend: an in-memory,

@@ -25,8 +25,11 @@ import (
 )
 
 // Mechanism transforms a single trajectory into its protected counterpart.
-// Implementations must not mutate the input and must be safe for concurrent
-// Protect calls (all built-in mechanisms are immutable after construction).
+// Implementations must not mutate the input, must return a trajectory that
+// shares no records with it (the publication engine caches protected
+// output across publications while callers keep their raw data), and must
+// be safe for concurrent Protect calls (all built-in mechanisms are
+// immutable after construction).
 // A returned trajectory with zero records means the trajectory is suppressed
 // from the release.
 type Mechanism interface {

@@ -18,6 +18,11 @@ import (
 // HashSize is the size in bytes of a content hash (SHA-256).
 const HashSize = sha256.Size
 
+const (
+	recordBytes = 32 // encoded record: instant, lat, lon, accuracy
+	hashBatch   = 64 // records encoded per hash Write
+)
+
 // ContentHash returns the canonical digest of the trajectory: the user
 // identifier plus every record's instant (UnixNano), position and
 // accuracy. Two trajectories have equal hashes iff their observable
@@ -25,46 +30,46 @@ const HashSize = sha256.Size
 // participate (instants compare as absolute time).
 func (t *Trajectory) ContentHash() [HashSize]byte {
 	h := sha256.New()
-	var buf [8]byte
-	writeString := func(s string) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
-		h.Write(buf[:])
-		h.Write([]byte(s))
-	}
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeString(t.User)
-	writeU64(uint64(len(t.Records)))
+	var buf [hashBatch * recordBytes]byte
+	le := binary.LittleEndian
+	b := le.AppendUint64(buf[:0], uint64(len(t.User)))
+	b = append(b, t.User...)
+	b = le.AppendUint64(b, uint64(len(t.Records)))
 	for _, r := range t.Records {
-		writeU64(uint64(r.Time.UnixNano()))
-		writeU64(math.Float64bits(r.Pos.Lat))
-		writeU64(math.Float64bits(r.Pos.Lon))
-		writeU64(math.Float64bits(r.Accuracy))
+		if len(b)+recordBytes > len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = le.AppendUint64(b, uint64(r.Time.UnixNano()))
+		b = le.AppendUint64(b, math.Float64bits(r.Pos.Lat))
+		b = le.AppendUint64(b, math.Float64bits(r.Pos.Lon))
+		b = le.AppendUint64(b, math.Float64bits(r.Accuracy))
 	}
+	h.Write(b)
 	var out [HashSize]byte
 	h.Sum(out[:0])
 	return out
 }
 
-// ContentHash returns the canonical digest of the whole dataset: the
-// trajectory count followed by every trajectory's ContentHash, in dataset
-// order. Order participates deliberately — the publication engine's
-// output (reports, release order) is defined over dataset order, so two
-// datasets that differ only by ordering must not share a cache entry.
-func (d *Dataset) ContentHash() [HashSize]byte {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(d.Trajectories)))
-	h.Write(buf[:])
-	for _, t := range d.Trajectories {
-		th := t.ContentHash()
-		h.Write(th[:])
+// TrajectoryHashes returns every trajectory's ContentHash, in dataset
+// order. Callers that key both the dataset and parts of it (the publication
+// engine keys a shard and each user's trajectories in it) hash once here
+// and combine.
+func (d *Dataset) TrajectoryHashes() [][HashSize]byte {
+	out := make([][HashSize]byte, len(d.Trajectories))
+	for i, t := range d.Trajectories {
+		out[i] = t.ContentHash()
 	}
-	var out [HashSize]byte
-	h.Sum(out[:0])
 	return out
+}
+
+// ContentHash returns the canonical digest of the whole dataset:
+// CombineHashes of its TrajectoryHashes. Order participates deliberately —
+// the publication engine's output (reports, release order) is defined over
+// dataset order, so two datasets that differ only by ordering must not
+// share a cache entry.
+func (d *Dataset) ContentHash() [HashSize]byte {
+	return CombineHashes(d.TrajectoryHashes()...)
 }
 
 // CombineHashes folds a sequence of content hashes into one digest, in

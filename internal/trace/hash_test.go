@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/hex"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +77,81 @@ func TestDatasetContentHashOrderSensitive(t *testing.T) {
 	}
 	if NewDataset().ContentHash() == a.ContentHash() {
 		t.Error("empty dataset must not collide with a populated one")
+	}
+}
+
+// goldenTrajectory builds n deterministic records in loc. Coordinates are
+// integer ratios so no platform can fuse the arithmetic into a different
+// rounding.
+func goldenTrajectory(user string, n int, loc *time.Location) *Trajectory {
+	base := time.Date(2014, 12, 8, 8, 0, 0, 123, time.UTC)
+	tr := &Trajectory{User: user, Records: make([]Record, n)}
+	for i := range tr.Records {
+		tr.Records[i] = Record{
+			Time:     base.Add(time.Duration(i) * 7 * time.Second).In(loc),
+			Pos:      geo.Point{Lat: float64(457600+i) / 10000, Lon: float64(48300-3*i) / 10000},
+			Accuracy: float64(i % 13),
+		}
+	}
+	return tr
+}
+
+// TestContentHashGolden pins the digests: cache keys address entries by
+// them, so any encoding change must be deliberate. The record counts
+// straddle the 64-record write batch.
+func TestContentHashGolden(t *testing.T) {
+	cet := time.FixedZone("CET", 3600)
+	cases := []struct {
+		name string
+		tr   *Trajectory
+		want string
+	}{
+		{"0 records", goldenTrajectory("user-1", 0, time.UTC),
+			"23be650373d5f4aadfd6d2c46dea7f48e4e60df98ec5099cd9a446b64ccb8934"},
+		{"1 record", goldenTrajectory("user-1", 1, time.UTC),
+			"c6e4778658a4cf95773990ff630caa1f50ead66152770b24f42f3cd42530d9d0"},
+		{"63 records", goldenTrajectory("user-1", 63, time.UTC),
+			"355fcf02f2b1b05eb9ff13754f52f2d6c3a7897a19053c6d2811da6504b5c0e3"},
+		{"64 records", goldenTrajectory("user-1", 64, time.UTC),
+			"c768901c0164704f1bde023f198418843c67f2bb998352ae95c856daa1a370ac"},
+		{"65 records", goldenTrajectory("user-1", 65, time.UTC),
+			"8ca853ceb9c8301bbae7ef7de70695d6c12ff27633355647b65819f68c9dac2a"},
+		{"1000 records", goldenTrajectory("user-1", 1000, time.UTC),
+			"c9f355af7ef08f68d7e7db2b1f75a51ae3542c8381ee61e49d12a6675204f562"},
+		{"empty user", goldenTrajectory("", 3, time.UTC),
+			"b4db65d5ada39edaa964e5db8952198dcf2d3ddfc4e60574046eaf9dd7ac55ff"},
+		{"non-UTC location", goldenTrajectory("user-2", 5, cet),
+			"5b82277ef25f670ed8c51999b7c220ed6832ed524a784881e562cba233c98a11"},
+		{"user longer than the batch", goldenTrajectory(strings.Repeat("u", 3000), 65, time.UTC),
+			"5570ff5642611ed5e2b1ad86e8a136514b77a46850bde647ff9ef4faf97d26fd"},
+	}
+	for _, c := range cases {
+		h := c.tr.ContentHash()
+		if got := hex.EncodeToString(h[:]); got != c.want {
+			t.Errorf("%s: ContentHash = %s, want %s", c.name, got, c.want)
+		}
+	}
+
+	ds := &Dataset{Trajectories: []*Trajectory{
+		goldenTrajectory("a", 2, time.UTC),
+		goldenTrajectory("b", 70, cet),
+		goldenTrajectory("a", 0, time.UTC),
+	}}
+	h := ds.ContentHash()
+	if got, want := hex.EncodeToString(h[:]), "db1f92cea40a7acf82bb0602080ee0994fbe2fcfdf5d70e68fc5f4f0c63f418b"; got != want {
+		t.Errorf("3-trajectory Dataset.ContentHash = %s, want %s", got, want)
+	}
+}
+
+var hashSink [HashSize]byte
+
+func BenchmarkContentHash(b *testing.B) {
+	tr := goldenTrajectory("user-1", 1000, time.UTC)
+	b.SetBytes(int64(len(tr.Records)) * 32) // instant, lat, lon, accuracy
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		hashSink = tr.ContentHash()
 	}
 }
 

@@ -39,11 +39,18 @@ func (p *Pseudonymizer) Pseudonym(user string) string {
 }
 
 // Apply returns a copy of the dataset with every user replaced by their
-// pseudonym.
+// pseudonym. Each distinct user costs one HMAC, however many trajectories
+// they hold.
 func (p *Pseudonymizer) Apply(d *Dataset) *Dataset {
 	out := d.Clone()
+	pseudonyms := make(map[string]string)
 	for _, t := range out.Trajectories {
-		t.User = p.Pseudonym(t.User)
+		ps, ok := pseudonyms[t.User]
+		if !ok {
+			ps = p.Pseudonym(t.User)
+			pseudonyms[t.User] = ps
+		}
+		t.User = ps
 	}
 	return out
 }

@@ -334,10 +334,14 @@ func TestPseudonymizer(t *testing.T) {
 	}
 
 	d := NewDataset()
-	d.Add(walkTrajectory("alice", 3, 1, time.Minute))
+	for _, user := range []string{"alice", "bob", "alice"} {
+		d.Add(walkTrajectory(user, 3, 1, time.Minute))
+	}
 	anon := p1.Apply(d)
-	if anon.Trajectories[0].User == "alice" {
-		t.Error("Apply did not replace user id")
+	for i, tr := range anon.Trajectories {
+		if want := p1.Pseudonym(d.Trajectories[i].User); tr.User != want {
+			t.Errorf("trajectory %d: Apply gave %q, want Pseudonym's %q", i, tr.User, want)
+		}
 	}
 	if d.Trajectories[0].User != "alice" {
 		t.Error("Apply mutated the input dataset")
