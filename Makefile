@@ -59,6 +59,7 @@ bench-quick:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreMatchesReference$$' -fuzztime=10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/hive/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/script/
 
 fmt:
 	gofmt -w .

@@ -131,17 +131,17 @@ func topOverlap(a map[geo.Cell]bool, b []scoredCell) float64 {
 // are also visited in the protected release.
 func Coverage(raw, protected *trace.Dataset, g *geo.Grid) float64 {
 	rc := tallyCells(raw, g, false)
-	pc := newCellTally(g, rc.extra, rc.extraIdx)
+	pc := newCellTally(g, &rc.extra)
 	pc.addDataset(protected, false)
 	return coverage(pc)
 }
 
 // coverage is the visited share of the tally's base cells.
 func coverage(c *cellTally) float64 {
-	if len(c.base) == 0 {
+	if c.base.len() == 0 {
 		return 0
 	}
-	return float64(c.baseVisited()) / float64(len(c.base))
+	return float64(c.baseVisited()) / float64(c.base.len())
 }
 
 // HotspotReport is a printable summary of crowd-density utility.

@@ -157,18 +157,7 @@ func defaultPortfolio(t testing.TB, origin geo.Point) []lppm.Mechanism {
 // strategies over generated city data with lost fixes, on the analysis grid
 // core builds, with the last day held out.
 func TestKernelMatchesReferenceOnPortfolio(t *testing.T) {
-	raw, city, err := mobgen.Generate(mobgen.Config{Seed: 12, Users: 6, Days: 3, Dropout: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	box, _ := raw.BBox()
-	g, err := geo.NewGrid(box.Pad(500), 250)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, end, _ := raw.TimeSpan()
-	end = end.Add(-time.Nanosecond) // the last fix is at midnight
-	cut := time.Date(end.Year(), end.Month(), end.Day(), 0, 0, 0, 0, time.UTC)
+	raw, city, g, cut := analysisSetup(t, mobgen.Config{Seed: 12, Users: 6, Days: 3, Dropout: 0.2})
 	for _, m := range defaultPortfolio(t, city.Center) {
 		t.Run(m.Name(), func(t *testing.T) {
 			prot, err := lppm.ProtectDataset(m, raw)
@@ -181,6 +170,25 @@ func TestKernelMatchesReferenceOnPortfolio(t *testing.T) {
 			}
 		})
 	}
+}
+
+// analysisSetup generates a mobgen dataset and the analysis grid core builds
+// for it (250 m cells over the padded bounding box), with the last day held
+// out.
+func analysisSetup(t testing.TB, cfg mobgen.Config) (*trace.Dataset, *mobgen.City, *geo.Grid, time.Time) {
+	t.Helper()
+	raw, city, err := mobgen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, _ := raw.BBox()
+	g, err := geo.NewGrid(box.Pad(500), 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, end, _ := raw.TimeSpan()
+	end = end.Add(-time.Nanosecond) // the last fix is at midnight
+	return raw, city, g, time.Date(end.Year(), end.Month(), end.Day(), 0, 0, 0, 0, time.UTC)
 }
 
 // traj builds a trajectory from (minute offset from t0, metres east, metres
@@ -292,6 +300,50 @@ func TestKernelMatchesReferenceOnEdgeCases(t *testing.T) {
 	}
 }
 
+// TestTallyTablesGrowAgainstReference drives the kernel's cell and visit
+// tables through many doublings, which the fuzzer's small inputs never do:
+// three users each walk 1 500 distinct-cell steps over six days, coming
+// back to a per-user home cell between steps, and the release walks
+// another stride that reaches rows the raw walks never enter.
+func TestTallyTablesGrowAgainstReference(t *testing.T) {
+	g := testGrid(t)
+	walk := func(user string, u, stride, rows int) *trace.Trajectory {
+		tr := &trace.Trajectory{User: user}
+		home := geo.Cell{Row: 2 * u, Col: 3 * u}
+		for i := 0; i < 3000; i++ {
+			cell := home
+			if i%2 == 0 {
+				j := (i/2*stride + u*311) % (rows * g.Cols())
+				cell = geo.Cell{Row: j / g.Cols(), Col: j % g.Cols()}
+			}
+			tr.Records = append(tr.Records, trace.Record{
+				Time: t0.Add(time.Duration(i) * 3 * time.Minute),
+				Pos:  g.CenterOf(cell),
+			})
+		}
+		return tr
+	}
+	raw, prot := trace.NewDataset(), trace.NewDataset()
+	for u, user := range []string{"a", "b", "c"} {
+		raw.Add(walk(user, u, 7, 40))
+		prot.Add(walk(user, u, 13, g.Rows()))
+	}
+	cut := t0.Truncate(24*time.Hour).AddDate(0, 0, 4)
+	checkAgainstReference(t, raw, prot, g, 20, cut)
+	checkAgainstReference(t, prot, raw, g, 20, cut)
+
+	view := NewRawView(raw, g, 20, cut)
+	if view.cells.len() < 2000 {
+		t.Errorf("raw walks visit %d cells, want thousands", view.cells.len())
+	}
+	c := newCellTally(g, &view.cells)
+	c.addDataset(prot, true)
+	if c.extra.len() < 256 || c.hours.len() < 3000 || c.days() < 3 {
+		t.Errorf("release over the raw cells: %d cells outside them, %d visits over %d days; want hundreds, thousands, at least 3",
+			c.extra.len(), c.hours.len(), c.days())
+	}
+}
+
 // TestLongStayAcrossHours: a stay is collapsed to one table touch per hour,
 // and still counts one visit in each hour it spans — including across
 // midnight.
@@ -377,6 +429,49 @@ func FuzzScoreMatchesReference(f *testing.F) {
 		raw, prot, cut := decodeFuzzDatasets(data)
 		checkAgainstReference(t, raw, prot, g, 3, cut)
 	})
+}
+
+var scoreSink Score
+
+// BenchmarkScore scores a smoothing and a geo-indistinguishability release
+// of a 16-user × 6-day mobgen dataset against a RawView prepared once, as
+// core scores each candidate strategy.
+func BenchmarkScore(b *testing.B) {
+	raw, _, g, cut := analysisSetup(b, mobgen.Config{Seed: 1, Users: 16, Days: 6})
+	view := NewRawView(raw, g, 20, cut)
+	smoothing, err := lppm.NewSpeedSmoothing(100, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	geoind, err := lppm.NewGeoInd(0.01, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []lppm.Mechanism{smoothing, geoind} {
+		prot, err := lppm.ProtectDataset(m, raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(m.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				scoreSink = view.Score(prot)
+			}
+		})
+	}
+}
+
+var viewSink *RawView
+
+// BenchmarkNewRawView prepares the raw side of scoring for the dataset of
+// BenchmarkScore.
+func BenchmarkNewRawView(b *testing.B) {
+	raw, _, g, cut := analysisSetup(b, mobgen.Config{Seed: 1, Users: 16, Days: 6})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		viewSink = NewRawView(raw, g, 20, cut)
+	}
 }
 
 // decodeFuzzDatasets reads 4-byte records: a header byte (bit 7: release

@@ -17,8 +17,7 @@ import (
 // once built.
 type RawView struct {
 	grid    *geo.Grid
-	cells   []geo.Cell // raw visited cells; a cell's index is its id in every Score tally
-	cellIdx map[geo.Cell]int32
+	cells   idTable // raw visited cells, numbered as in every Score tally; never added to after NewRawView
 	k       int
 	top     map[geo.Cell]bool // raw top-k crowded cells
 	tracks  map[string][]track
@@ -40,11 +39,10 @@ type trafficSplit struct {
 func NewRawView(raw *trace.Dataset, g *geo.Grid, k int, cut time.Time) *RawView {
 	rc := tallyCells(raw, g, false)
 	v := &RawView{
-		grid:    g,
-		cells:   rc.extra,
-		cellIdx: rc.extraIdx,
-		k:       k,
-		tracks:  newTracks(raw),
+		grid:   g,
+		cells:  rc.extra,
+		k:      k,
+		tracks: newTracks(raw),
 	}
 	if k > 0 {
 		v.top = cellSet(topCells(rc.scored(), k))
@@ -83,7 +81,7 @@ type Score struct {
 // SplitAtDay/CountTraffic/Forecaster chain and SpatialDistortion give
 // separately.
 func (v *RawView) Score(protected *trace.Dataset) Score {
-	cells := newCellTally(v.grid, v.cells, v.cellIdx)
+	cells := newCellTally(v.grid, &v.cells)
 	scan := newDistortionScan(protected.NumRecords())
 	trained := false
 	for i, group := range groupByUser(protected) {

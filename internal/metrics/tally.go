@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
@@ -16,19 +17,29 @@ import (
 // same hour — touch no table: a stay is hundreds of fixes in one cell.
 //
 // Cells get small integer ids in first-visit order. A tally built over a
-// RawView's cells (base) gives those cells the view's ids, so raw and
-// protected visits are compared by id; cells outside base get the ids
-// after them. Memory is proportional to the visited cells, never to the
-// grid.
+// RawView's cell table (base) reads that table without copying it, so raw
+// and protected visits are compared by id; cells outside base get the ids
+// after them from a table of the tally's own. Visits — one cell during one
+// hour since the Unix epoch, floored so pre-1970 hours are negative — are
+// found through a third table keyed by (cell id, hour). Each cell remembers
+// the visit it touched last, so returning to a cell within the same hour
+// touches no table, and heads a chain of its visits, which hourlyMeans
+// walks instead of sorting them. Memory is proportional to the visited
+// cells and visits, never to the grid.
 type cellTally struct {
-	grid     *geo.Grid
-	base     []geo.Cell
-	baseIdx  map[geo.Cell]int32
-	extra    []geo.Cell
-	extraIdx map[geo.Cell]int32
-	users    []distinctUsers // by cell id
-	visits   []visit
-	visitIdx map[visitKey]int32
+	grid   *geo.Grid
+	base   *idTable    // (row, col) of the cells with ids below base.len(); read-only
+	extra  idTable     // (row, col) of the cells with ids from base.len() on
+	cells  []cellState // by cell id
+	hours  idTable     // (cell id, epoch hour) of each visit
+	visits []visit     // by visit index, the id hours gives
+}
+
+// cellState is what a tally keeps per cell id.
+type cellState struct {
+	users distinctUsers
+	last  int32 // the visit touched last, -1 before the first
+	head  int32 // the newest visit, -1 before the first
 }
 
 // distinctUsers counts the users that touched one table entry. Users are
@@ -46,32 +57,22 @@ func (u *distinctUsers) count(uid int32) {
 	}
 }
 
-// visitKey is one cell during one hour since the Unix epoch (floored, so
-// pre-1970 hours are negative).
-type visitKey struct {
-	cell int32
-	hour int64
-}
-
 type visit struct {
-	key   visitKey
 	users distinctUsers
+	prev  int32 // the cell's previous visit, -1 for its first
 }
 
-func newCellTally(g *geo.Grid, base []geo.Cell, baseIdx map[geo.Cell]int32) *cellTally {
-	return &cellTally{
-		grid:     g,
-		base:     base,
-		baseIdx:  baseIdx,
-		extraIdx: make(map[geo.Cell]int32),
-		users:    make([]distinctUsers, len(base)),
-		visitIdx: make(map[visitKey]int32),
+func newCellTally(g *geo.Grid, base *idTable) *cellTally {
+	c := &cellTally{grid: g, base: base, cells: make([]cellState, base.len())}
+	for i := range c.cells {
+		c.cells[i] = cellState{last: -1, head: -1}
 	}
+	return c
 }
 
 // tallyCells bins a whole dataset on its own cell ids.
 func tallyCells(d *trace.Dataset, g *geo.Grid, traffic bool) *cellTally {
-	c := newCellTally(g, nil, nil)
+	c := newCellTally(g, &idTable{})
 	c.addDataset(d, traffic)
 	return c
 }
@@ -117,7 +118,7 @@ func (c *cellTally) add(t *trace.Trajectory, uid int32, traffic bool) {
 		sameCell := id >= 0 && cell == run
 		if !sameCell {
 			run, id = cell, c.id(cell)
-			c.users[id].count(uid)
+			c.cells[id].users.count(uid)
 		}
 		if !traffic {
 			continue
@@ -128,46 +129,51 @@ func (c *cellTally) add(t *trace.Trajectory, uid int32, traffic bool) {
 		}
 		hour := floorDiv(sec, 3600)
 		hourFrom, hourTo = hour*3600, hour*3600+3600
-		c.visit(visitKey{cell: id, hour: hour}).count(uid)
+		c.visit(id, hour).count(uid)
 	}
 }
 
 func (c *cellTally) id(cell geo.Cell) int32 {
-	if id, ok := c.baseIdx[cell]; ok {
+	row, col := int64(cell.Row), int64(cell.Col)
+	if id, ok := c.base.find(row, col); ok {
 		return id
 	}
-	if id, ok := c.extraIdx[cell]; ok {
-		return id
+	id, added := c.extra.add(row, col)
+	if added {
+		c.cells = append(c.cells, cellState{last: -1, head: -1})
 	}
-	id := int32(len(c.users))
-	c.extraIdx[cell] = id
-	c.extra = append(c.extra, cell)
-	c.users = append(c.users, distinctUsers{})
-	return id
+	return int32(c.base.len()) + id
 }
 
-func (c *cellTally) visit(k visitKey) *distinctUsers {
-	i, ok := c.visitIdx[k]
-	if !ok {
-		i = int32(len(c.visits))
-		c.visitIdx[k] = i
-		c.visits = append(c.visits, visit{key: k})
+func (c *cellTally) visit(id int32, hour int64) *distinctUsers {
+	cs := &c.cells[id]
+	if cs.last >= 0 && c.hours.keys[cs.last].b == hour {
+		return &c.visits[cs.last].users
 	}
+	i, added := c.hours.add(int64(id), hour)
+	if added {
+		c.visits = append(c.visits, visit{prev: cs.head})
+		cs.head = i
+	}
+	cs.last = i
 	return &c.visits[i].users
 }
 
 func (c *cellTally) cell(id int32) geo.Cell {
-	if int(id) < len(c.base) {
-		return c.base[id]
+	var k idKey
+	if nb := c.base.len(); int(id) < nb {
+		k = c.base.keys[id]
+	} else {
+		k = c.extra.keys[int(id)-nb]
 	}
-	return c.extra[int(id)-len(c.base)]
+	return geo.Cell{Row: int(k.a), Col: int(k.b)}
 }
 
 // baseVisited counts the base cells the tallied dataset visits.
 func (c *cellTally) baseVisited() int {
 	var n int
-	for _, u := range c.users[:len(c.base)] {
-		if u.n > 0 {
+	for _, s := range c.cells[:c.base.len()] {
+		if s.users.n > 0 {
 			n++
 		}
 	}
@@ -176,10 +182,10 @@ func (c *cellTally) baseVisited() int {
 
 // scored lists the visited cells with their distinct-user count.
 func (c *cellTally) scored() []scoredCell {
-	out := make([]scoredCell, 0, len(c.users))
-	for id, u := range c.users {
-		if u.n > 0 {
-			out = append(out, scoredCell{cell: c.cell(int32(id)), score: float64(u.n)})
+	out := make([]scoredCell, 0, len(c.cells))
+	for id, s := range c.cells {
+		if s.users.n > 0 {
+			out = append(out, scoredCell{cell: c.cell(int32(id)), score: float64(s.users.n)})
 		}
 	}
 	return out
@@ -187,39 +193,47 @@ func (c *cellTally) scored() []scoredCell {
 
 // days returns the number of distinct UTC days with a visit.
 func (c *cellTally) days() int {
-	seen := make(map[int64]struct{})
-	for _, v := range c.visits {
-		seen[floorDiv(v.key.hour, 24)] = struct{}{}
+	var days []int64
+	for _, k := range c.hours.keys {
+		if d := floorDiv(k.b, 24); len(days) == 0 || days[len(days)-1] != d {
+			days = append(days, d)
+		}
 	}
-	return len(seen)
+	slices.Sort(days)
+	return len(slices.Compact(days))
 }
 
 // hourlyMeans folds the visits into the forecaster's form: per cell and
 // hour of day, the visits averaged over the observed days, sorted by
-// cell-hour. Visit counts are integers, so summing them in any order gives
-// the float sum the day-ordered fold of hourlyMeans(*TrafficCounts) gives.
+// cell-hour. The cells with a visit are put in (row, col) order once; each
+// then walks its own visit chain into 24 hour-of-day sums, so no visit is
+// compared with another. Visit counts are integers, so summing them in any
+// order gives the float sum the day-ordered fold of
+// hourlyMeans(*TrafficCounts) gives.
 func (c *cellTally) hourlyMeans() []hourMean {
 	days := float64(c.days())
-	out := make([]hourMean, len(c.visits))
-	for i, v := range c.visits {
-		out[i] = hourMean{
-			ch: CellHour{Cell: c.cell(v.key.cell), Hour: int(floorMod(v.key.hour, 24))},
-			v:  float64(v.users.n),
+	var ids []int32
+	for id, s := range c.cells {
+		if s.head >= 0 {
+			ids = append(ids, int32(id))
 		}
 	}
-	slices.SortFunc(out, func(a, b hourMean) int { return compareCellHour(a.ch, b.ch) })
-	n := 0
-	for _, m := range out {
-		if n > 0 && out[n-1].ch == m.ch {
-			out[n-1].v += m.v
-			continue
+	slices.SortFunc(ids, func(a, b int32) int { return compareCell(c.cell(a), c.cell(b)) })
+	out := make([]hourMean, 0, len(c.visits))
+	var sums [24]int64
+	for _, id := range ids {
+		var hours uint32 // bit h: the cell has a visit at hour of day h
+		for v := c.cells[id].head; v >= 0; v = c.visits[v].prev {
+			h := floorMod(c.hours.keys[v].b, 24)
+			sums[h] += int64(c.visits[v].users.n)
+			hours |= 1 << h
 		}
-		out[n] = m
-		n++
-	}
-	out = out[:n]
-	for i := range out {
-		out[i].v /= days
+		cell := c.cell(id)
+		for ; hours != 0; hours &= hours - 1 {
+			h := bits.TrailingZeros32(hours)
+			out = append(out, hourMean{ch: CellHour{Cell: cell, Hour: h}, v: float64(sums[h]) / days})
+			sums[h] = 0
+		}
 	}
 	return out
 }
@@ -232,23 +246,96 @@ func (c *cellTally) trafficCounts() *TrafficCounts {
 		Days:   make(map[string]bool),
 	}
 	names := make(map[int64]string)
-	for _, v := range c.visits {
-		day := floorDiv(v.key.hour, 24)
+	for i, k := range c.hours.keys {
+		day := floorDiv(k.b, 24)
 		name, ok := names[day]
 		if !ok {
 			name = time.Unix(day*86400, 0).UTC().Format("2006-01-02")
 			names[day] = name
 			tc.Days[name] = true
 		}
-		ch := CellHour{Cell: c.cell(v.key.cell), Hour: int(floorMod(v.key.hour, 24))}
+		ch := CellHour{Cell: c.cell(int32(k.a)), Hour: int(floorMod(k.b, 24))}
 		byDay, ok := tc.Visits[ch]
 		if !ok {
 			byDay = make(map[string]float64)
 			tc.Visits[ch] = byDay
 		}
-		byDay[name] = float64(v.users.n)
+		byDay[name] = float64(c.visits[i].users.n)
 	}
 	return tc
+}
+
+// idTable numbers distinct pairs of integers — a cell's (row, col), or a
+// visit's (cell id, epoch hour) — 0, 1, 2, … in the order they are added.
+// It keeps the pairs in that order and finds them by open addressing with
+// linear probing over a power-of-two slot array at most half full, hashed
+// by two multiplications. The zero value is an empty table. Finding in a
+// table nobody adds to is safe from any number of goroutines.
+type idTable struct {
+	keys  []idKey // by id
+	slots []int32 // the id + 1 of the key homed at or probed past here; 0 is empty
+	shift uint    // 64 - log2(len(slots))
+}
+
+type idKey struct{ a, b int64 }
+
+func (t *idTable) len() int { return len(t.keys) }
+
+func (t *idTable) home(a, b int64) int {
+	return int((uint64(a)*0x9e3779b97f4a7c15 + uint64(b)) * 0xbf58476d1ce4e5b9 >> t.shift)
+}
+
+// find returns the id of (a, b), if it has one.
+func (t *idTable) find(a, b int64) (int32, bool) {
+	if len(t.keys) == 0 {
+		return 0, false
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(a, b); ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return 0, false
+		}
+		if k := &t.keys[s-1]; k.a == a && k.b == b {
+			return s - 1, true
+		}
+	}
+}
+
+// add returns the id of (a, b), numbering it first if it has none; added
+// reports whether it did.
+func (t *idTable) add(a, b int64) (id int32, added bool) {
+	if 2*(len(t.keys)+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(a, b); ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			t.keys = append(t.keys, idKey{a, b})
+			t.slots[i] = int32(len(t.keys))
+			return int32(len(t.keys) - 1), true
+		}
+		if k := &t.keys[s-1]; k.a == a && k.b == b {
+			return s - 1, false
+		}
+	}
+}
+
+// grow doubles the slot array (to 16 slots from empty) and re-homes every
+// key.
+func (t *idTable) grow() {
+	size := max(16, 2*len(t.slots))
+	t.slots = make([]int32, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for id, k := range t.keys {
+		i := t.home(k.a, k.b)
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(id + 1)
+	}
 }
 
 // floorDiv and floorMod round toward negative infinity, so instants before

@@ -23,22 +23,6 @@ type lexer struct {
 	line int
 }
 
-// lex tokenises the whole source.
-func lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1}
-	var out []Token
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tok)
-		if tok.Kind == EOF {
-			return out, nil
-		}
-	}
-}
-
 func (l *lexer) errorf(format string, args ...any) error {
 	return &SyntaxError{Line: l.line, Msg: fmt.Sprintf(format, args...)}
 }

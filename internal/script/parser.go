@@ -5,39 +5,95 @@ import (
 	"strconv"
 )
 
-// Parse compiles SenseScript source into a Program.
+// maxNesting bounds the parser's recursion, so that no script, however
+// deeply nested, can overflow the goroutine stack (a fatal error, not a
+// panic). Every statement, block, if, expression, unary operator and postfix
+// chain entered counts one level: a parenthesised expression costs three,
+// so about 330 nested parentheses fit.
+const maxNesting = 1000
+
+// Parse compiles SenseScript source into a Program. Tokens are lexed as the
+// parser reaches them, so a script that nests too deeply fails after
+// reading only as much of it as the limit allows. A lexical error is
+// reported in preference to the parse error it causes.
 func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
+	p := &parser{lx: lexer{src: src, line: 1}}
+	p.tok = p.lex()
+	prog := &Program{}
+	var err error
+	for err == nil && !p.at(EOF) {
+		var stmt Node
+		if stmt, err = p.statement(); err == nil {
+			prog.Stmts = append(prog.Stmts, stmt)
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	p := &parser{toks: toks}
-	prog := &Program{}
-	for !p.at(EOF) {
-		stmt, err := p.statement()
-		if err != nil {
-			return nil, err
-		}
-		prog.Stmts = append(prog.Stmts, stmt)
 	}
 	return prog, nil
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	lx       lexer
+	tok      Token // the current token
+	ahead    Token // the token after it, when hasAhead
+	hasAhead bool
+	lexErr   error // the lexer's error; every token after it is EOF
+	depth    int   // levels entered, see maxNesting
 }
 
-func (p *parser) cur() Token     { return p.toks[p.pos] }
-func (p *parser) at(k Kind) bool { return p.cur().Kind == k }
+// lex returns the next token from the source, or EOF once the lexer fails.
+func (p *parser) lex() Token {
+	if p.lexErr == nil {
+		tok, err := p.lx.next()
+		if err == nil {
+			return tok
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: EOF, Line: p.lx.line}
+}
+
+func (p *parser) cur() Token     { return p.tok }
+func (p *parser) at(k Kind) bool { return p.tok.Kind == k }
+
+// peek returns the token after the current one.
+func (p *parser) peek() Token {
+	if p.tok.Kind == EOF {
+		return p.tok
+	}
+	if !p.hasAhead {
+		p.ahead, p.hasAhead = p.lex(), true
+	}
+	return p.ahead
+}
 
 func (p *parser) advance() Token {
-	t := p.toks[p.pos]
-	if t.Kind != EOF {
-		p.pos++
+	t := p.tok
+	switch {
+	case t.Kind == EOF:
+	case p.hasAhead:
+		p.tok, p.hasAhead = p.ahead, false
+	default:
+		p.tok = p.lex()
 	}
 	return t
 }
+
+// enter counts one level of nesting, failing past maxNesting; each enter
+// that succeeds is paired with a deferred leave.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.errorf("script nests deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) accept(k Kind) bool {
 	if p.at(k) {
@@ -60,13 +116,17 @@ func (p *parser) errorf(format string, args ...any) error {
 
 // statement parses one statement, consuming any trailing semicolon.
 func (p *parser) statement() (Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().Kind {
 	case VAR:
 		return p.varDecl(true)
 	case FUNCTION:
 		// function name(...) {...} declaration; anonymous functions are
 		// expressions handled in primary().
-		if p.toks[p.pos+1].Kind == IDENT {
+		if p.peek().Kind == IDENT {
 			return p.funcDecl()
 		}
 	case IF:
@@ -167,6 +227,10 @@ func (p *parser) funcRest(line int) (*FuncLit, error) {
 }
 
 func (p *parser) block() (*Block, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	tok, err := p.expect(LBRACE)
 	if err != nil {
 		return nil, err
@@ -187,6 +251,10 @@ func (p *parser) block() (*Block, error) {
 }
 
 func (p *parser) ifStmt() (Node, error) {
+	if err := p.enter(); err != nil { // else-if chains recurse here
+		return nil, err
+	}
+	defer p.leave()
 	tok := p.advance() // if
 	if _, err := p.expect(LPAREN); err != nil {
 		return nil, err
@@ -293,7 +361,13 @@ func (p *parser) forStmt() (Node, error) {
 
 func (p *parser) expression() (Node, error) { return p.assignment() }
 
+// assignment is where every expression starts, and where assignment chains
+// and ternary branches recurse.
 func (p *parser) assignment() (Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.ternary()
 	if err != nil {
 		return nil, err
@@ -371,6 +445,10 @@ func (p *parser) binary(next func() (Node, error), ops ...Kind) (Node, error) {
 }
 
 func (p *parser) unary() (Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if p.at(NOT) || p.at(MINUS) {
 		tok := p.advance()
 		x, err := p.unary()
@@ -383,6 +461,10 @@ func (p *parser) unary() (Node, error) {
 }
 
 func (p *parser) postfix() (Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	x, err := p.primary()
 	if err != nil {
 		return nil, err
