@@ -176,8 +176,9 @@ func NewPrivacyMiddleware(cfg PrivacyConfig, origin Point) (*PrivacyMiddleware, 
 // EvalCache is the content-addressed evaluation cache. Set
 // PrivacyConfig.Cache to memoize reference-POI extraction, attacker
 // stay-point extraction and whole selection results across Publish runs;
-// unchanged inputs are re-published without re-evaluation and warm reports
-// stay byte-identical to cold ones (see internal/evalcache).
+// unchanged inputs are re-published without re-evaluation, and warm reports
+// and releases stay byte-identical to cold ones on any input (see
+// internal/evalcache).
 type EvalCache = evalcache.Cache
 
 // NewEvalCache returns the in-memory LRU evaluation cache bounded to

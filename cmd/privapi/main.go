@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"apisense/internal/core"
-	"apisense/internal/evalcache"
 	"apisense/internal/geo"
 	"apisense/internal/lppm"
 	"apisense/internal/trace"
@@ -181,7 +180,6 @@ func runPublish(ctx context.Context, args []string) error {
 	parallelism := fs.Int("parallelism", 0, "evaluation workers (0 = one per CPU)")
 	shardBy := fs.String("shard-by", "", "shard policy: cell, window, user, or a spec like cell:size=1500 (empty = monolithic)")
 	shards := fs.Int("shards", 0, "target shard count for a bare -shard-by policy (0 = policy defaults)")
-	cacheMB := fs.Int("cache-mb", 0, "evaluation cache bound in MiB (0 = caching disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -200,18 +198,15 @@ func runPublish(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	cache := newCache(*cacheMB)
 	mw, err := core.New(core.Config{
 		Objective:      objective,
 		MaxPOIExposure: *floor,
 		PseudonymKey:   key,
 		Parallelism:    *parallelism,
-		Cache:          cache,
 	}, origin)
 	if err != nil {
 		return err
 	}
-	defer printCacheStats(cache)
 
 	if *shardBy != "" {
 		if strings.HasPrefix(*shardBy, "window") {
@@ -254,7 +249,6 @@ func runAnalyze(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("privapi analyze", flag.ContinueOnError)
 	in := fs.String("in", "", "input CSV dataset")
 	parallelism := fs.Int("parallelism", 0, "evaluation workers (0 = one per CPU)")
-	cacheMB := fs.Int("cache-mb", 0, "evaluation cache bound in MiB (0 = caching disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -265,7 +259,7 @@ func runAnalyze(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	mw, err := core.New(core.Config{Parallelism: *parallelism, Cache: newCache(*cacheMB)}, origin)
+	mw, err := core.New(core.Config{Parallelism: *parallelism}, origin)
 	if err != nil {
 		return err
 	}
@@ -306,24 +300,6 @@ func pseudonymKey(path string) ([]byte, error) {
 		return nil, fmt.Errorf("pseudonym key file %s is empty", path)
 	}
 	return key, nil
-}
-
-// newCache sizes the optional evaluation cache; a typed nil interface must
-// not reach core.Config.Cache, so disabled caching returns a plain nil.
-func newCache(mb int) evalcache.Cache {
-	if mb <= 0 {
-		return nil
-	}
-	return evalcache.NewLRU(int64(mb) << 20)
-}
-
-func printCacheStats(cache evalcache.Cache) {
-	if cache == nil {
-		return
-	}
-	st := cache.Stats()
-	fmt.Printf("evaluation cache: entries=%d bytes=%d hits=%d misses=%d evictions=%d pruned=%d\n",
-		st.Entries, st.Bytes, st.Hits, st.Misses, st.Evictions, st.Pruned)
 }
 
 func printSelection(sel *core.Selection) {

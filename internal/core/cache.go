@@ -14,7 +14,7 @@ import (
 // Evaluation caching (see the package documentation of internal/evalcache
 // for the full design). This file holds the engine side of the wiring:
 // cache-key derivation, the caching attacker extractor, the selection
-// cache used by Publish/PublishSharded, and the adaptive-pruning records.
+// cache used by Publish/PublishSharded.
 //
 // Every key embeds a configuration fingerprint, so middlewares with
 // different objectives, floors, grids or portfolios sharing one cache can
@@ -27,11 +27,6 @@ import (
 // keySep separates key segments. Shard keys and strategy names never
 // contain it, so concatenated segments cannot collide.
 const keySep = "\x1f"
-
-// monolithicPruneKey scopes pruning records of un-sharded Publish runs.
-// Shard policies always prefix their keys ("cell/", "window/", "user/"),
-// so it cannot collide with a real shard.
-const monolithicPruneKey = "dataset"
 
 // fingerprints are the precomputed cache-key components of a Middleware.
 // Three scopes keep sharing maximal: reference-POI entries depend only on
@@ -84,15 +79,11 @@ func attackKey(fp string, tr [trace.HashSize]byte) string {
 	return "atk" + keySep + fp + keySep + hex.EncodeToString(tr[:])
 }
 
-func pruneRecordKey(fp, pruneKey, strategy string) string {
-	return "prune" + keySep + fp + keySep + pruneKey + keySep + strategy
-}
-
 // contentHashes are the content hashes of one run's raw dataset: every
 // trajectory's, in dataset order, and the whole dataset's (their
 // combination). A run computes them once and derives every raw-side key
-// from them — the selection key, the pruning guard and the per-user
-// reference-POI keys. Without a cache they are left zero.
+// from them — the selection key and the per-user reference-POI keys.
+// Without a cache they are left zero.
 type contentHashes struct {
 	trajectories [][trace.HashSize]byte
 	dataset      [trace.HashSize]byte
@@ -134,7 +125,7 @@ func datasetCost(d *trace.Dataset) int64 {
 func evalsCost(evals []Evaluation) int64 {
 	cost := int64(len(evals)) * evaluationCost
 	for _, ev := range evals {
-		cost += int64(len(ev.Strategy) + len(ev.PrunedReason))
+		cost += int64(len(ev.Strategy))
 	}
 	return cost
 }
@@ -260,50 +251,6 @@ func (m *Middleware) storeSelection(hash [trace.HashSize]byte, cs *cachedSelecti
 	}
 	cost := evalsCost(cs.evals) + datasetCost(cs.prot) + keyCost
 	m.cache.Put(selectionKey(m.fp.selection, hash), cs, cost)
-}
-
-// ---- adaptive portfolio pruning ----
-
-// pruneRecord remembers the cheap proxies at which a strategy last failed
-// the privacy floor on a shard: the number of trajectories it released
-// and the grid coverage of its release. Both proxies grow with the amount
-// of location evidence the strategy exposes, so a strategy that failed at
-// (r, c) is assumed to fail again whenever it now releases at least as
-// many trajectories with at least as much coverage — the full POI-recovery
-// attack is skipped and the evaluation is marked Pruned instead.
-//
-// Hash is the content hash of the shard the record was taken on. Pruning
-// only ever applies when the current shard content differs: re-evaluating
-// unchanged data must reproduce the cold scorecard byte for byte even when
-// its selection entry has been evicted (or is still being computed by a
-// concurrent publish), so identical content always runs the full attack.
-type pruneRecord struct {
-	Released int
-	Coverage float64
-	Hash     [trace.HashSize]byte
-}
-
-// loadPruneRecord returns the disqualification record for a strategy on a
-// shard, if pruning applies (cache present and a non-empty prune scope).
-func (m *Middleware) loadPruneRecord(pruneKey, strategy string) (pruneRecord, bool) {
-	if m.cache == nil || pruneKey == "" {
-		return pruneRecord{}, false
-	}
-	v, ok := m.cache.Get(pruneRecordKey(m.fp.selection, pruneKey, strategy))
-	if !ok {
-		return pruneRecord{}, false
-	}
-	return v.(pruneRecord), true
-}
-
-// storePruneRecord records a full (non-pruned) evaluation that failed the
-// floor, so later runs on the same shard can skip the attack when the
-// proxies say the data only grew.
-func (m *Middleware) storePruneRecord(pruneKey, strategy string, rec pruneRecord) {
-	if m.cache == nil || pruneKey == "" {
-		return
-	}
-	m.cache.Put(pruneRecordKey(m.fp.selection, pruneKey, strategy), rec, 80+keyCost)
 }
 
 // refPOIMergeRadius is the per-user place-merge radius of ReferencePOIs,

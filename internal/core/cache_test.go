@@ -3,13 +3,14 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"apisense/internal/evalcache"
+	"apisense/internal/geo"
 	"apisense/internal/lppm"
 	"apisense/internal/mobgen"
 	"apisense/internal/trace"
@@ -238,119 +239,150 @@ func TestConfigChangeInvalidates(t *testing.T) {
 	}
 }
 
-// TestAdaptivePruning: after a full evaluation disqualified a strategy on
-// a shard, re-publishing with grown data must skip its attack and report
-// the pruning; the pruned strategy can never win, and unchanged data keeps
-// reporting the full cold scorecard (served from the selection cache
-// before pruning is consulted).
-func TestAdaptivePruning(t *testing.T) {
-	ds := fixture(t)
-	sm, err := lppm.NewSpeedSmoothing(100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := evalcache.NewLRU(0)
-	m, err := New(Config{
-		// Identity releases everything and always fails a floor below 1.
-		Strategies:  []lppm.Mechanism{lppm.Identity{}, sm},
-		Parallelism: 2,
-		Cache:       cache,
-	}, lyon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, coldSel, err := m.PublishContext(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range coldSel.Evaluations {
-		if ev.Pruned {
-			t.Fatalf("cold run pruned %s", ev.Strategy)
-		}
-	}
-
-	// Grow the dataset: every proxy of the failed identity release is now
-	// at or above its recorded disqualification values.
-	grown := ds.Clone()
+// grown returns ds plus a copy of its first trajectory under a new user, so
+// every strategy's released count and coverage can only rise.
+func grown(ds *trace.Dataset) *trace.Dataset {
+	g := ds.Clone()
 	extra := ds.Trajectories[0].Clone()
 	extra.User = "extra-user"
-	grown.Add(extra)
-	_, warmSel, err := m.PublishContext(context.Background(), grown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var id Evaluation
-	for _, ev := range warmSel.Evaluations {
-		if ev.Strategy == (lppm.Identity{}).Name() {
-			id = ev
-		}
-	}
-	if !id.Pruned {
-		t.Fatalf("identity was not pruned on grown data: %+v", id)
-	}
-	if id.MeetsFloor || warmSel.Chosen == id.Strategy {
-		t.Error("a pruned strategy must not meet the floor or be chosen")
-	}
-	if !strings.Contains(id.PrunedReason, "failed privacy floor") {
-		t.Errorf("PrunedReason = %q, want the disqualification record", id.PrunedReason)
-	}
-	if id.Released != grown.Len() {
-		t.Errorf("pruned evaluation released = %d, want proxy %d", id.Released, grown.Len())
-	}
-	if st := cache.Stats(); st.Pruned == 0 {
-		t.Errorf("cache stats did not count the pruned strategy: %+v", st)
-	}
-
-	// Unchanged data still reports the full scorecard, not the pruned one.
-	_, againSel, err := m.PublishContext(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := marshal(t, againSel), marshal(t, coldSel); got != want {
-		t.Error("re-publishing the unchanged dataset no longer matches the cold report")
-	}
+	g.Add(extra)
+	return g
 }
 
-// TestEvaluateNeverPrunes: Evaluate is a pure scorecard — even with a
-// cache full of disqualification records it must run the full attack for
-// every strategy and match the uncached result exactly.
-func TestEvaluateNeverPrunes(t *testing.T) {
-	ds := fixture(t)
-	cache := evalcache.NewLRU(0)
-	mk := func(c evalcache.Cache) *Middleware {
-		m, err := New(Config{
-			Strategies:     []lppm.Mechanism{lppm.Identity{}},
-			MaxPOIExposure: 0.1,
-			Parallelism:    2,
-			Cache:          c,
-		}, lyon)
+// shifted is the republication workload's input i: ds with users 2i and
+// 2i+1 (modulo the user count) moved north by (i+1)*1e-5 degrees, everyone
+// else unchanged.
+func shifted(ds *trace.Dataset, i int) *trace.Dataset {
+	users := ds.Users()
+	a, b := users[(2*i)%len(users)], users[(2*i+1)%len(users)]
+	out := trace.NewDataset()
+	for _, tr := range ds.Trajectories {
+		if tr.User == a || tr.User == b {
+			tr = tr.Clone()
+			for k := range tr.Records {
+				tr.Records[k].Pos.Lat += float64(i+1) * 1e-5
+			}
+		}
+		out.Add(tr)
+	}
+	return out
+}
+
+// TestWarmPublicationMatchesCold: a cache only memoises, it never skips
+// work on a guess, so a warm publication of changed input — after the cache
+// has seen strategies fail the floor on earlier content — reports and
+// releases exactly what a cache-less publication of the same input does.
+func TestWarmPublicationMatchesCold(t *testing.T) {
+	smoothing, err := lppm.NewSpeedSmoothing(100, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Identity releases everything and fails any floor below 1.
+	failing := []lppm.Mechanism{lppm.Identity{}, smoothing}
+	byUser, err := NewShardByUser(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	republishBy, err := ShardPolicyFromSpec("user:buckets=32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// publish returns the report JSON and the release hash (zero when no
+	// strategy met the floor).
+	publish := func(t *testing.T, m *Middleware, ds *trace.Dataset, by ShardBy) (string, [trace.HashSize]byte) {
+		t.Helper()
+		var rel *trace.Dataset
+		var report any
+		var err error
+		if by == nil {
+			rel, report, err = m.PublishContext(context.Background(), ds)
+		} else {
+			rel, report, err = m.PublishShardedContext(context.Background(), ds, by)
+		}
+		if err != nil && !errors.Is(err, ErrNoStrategy) {
+			t.Fatal(err)
+		}
+		var hash [trace.HashSize]byte
+		if rel != nil {
+			hash = rel.ContentHash()
+		}
+		return marshal(t, report), hash
+	}
+	// check publishes each input through one cached middleware in turn and
+	// compares every outcome with a fresh cache-less publication.
+	check := func(t *testing.T, cfg Config, center geo.Point, by ShardBy, inputs ...*trace.Dataset) {
+		t.Helper()
+		cold, err := New(cfg, center)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		cfg.Cache = evalcache.NewLRU(0)
+		warm, err := New(cfg, center)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, ds := range inputs {
+			gotReport, gotHash := publish(t, warm, ds, by)
+			wantReport, wantHash := publish(t, cold, ds, by)
+			if gotReport != wantReport {
+				t.Errorf("publication %d: warm report differs from cold:\ncold: %s\nwarm: %s", k, wantReport, gotReport)
+			}
+			if gotHash != wantHash {
+				t.Errorf("publication %d: warm release differs from cold", k)
+			}
+		}
 	}
-	m := mk(cache)
-	if _, _, err := m.PublishContext(context.Background(), ds); err != ErrNoStrategy {
-		t.Fatalf("err = %v, want ErrNoStrategy", err)
+
+	ds := fixture(t)
+	grownCfg := Config{Strategies: failing, Parallelism: 2, PseudonymKey: []byte("warm")}
+	t.Run("grown/monolithic", func(t *testing.T) {
+		check(t, grownCfg, lyon, nil, ds, grown(ds))
+	})
+	t.Run("grown/by-user", func(t *testing.T) {
+		check(t, grownCfg, lyon, byUser, ds, grown(ds))
+	})
+	for _, seed := range []uint64{1, 7} {
+		t.Run(fmt.Sprintf("republish/seed=%d", seed), func(t *testing.T) {
+			base, city, err := mobgen.Generate(mobgen.Config{Seed: seed, Users: 6, Days: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs := []*trace.Dataset{base, base}
+			for i := 0; i < 4; i++ {
+				inputs = append(inputs, shifted(base, i))
+			}
+			check(t, Config{Parallelism: 2, PseudonymKey: []byte("warm")}, city.Center, republishBy, inputs...)
+		})
 	}
-	grown := ds.Clone()
-	extra := ds.Trajectories[0].Clone()
-	extra.User = "extra-user"
-	grown.Add(extra)
-	warm, err := m.EvaluateContext(context.Background(), grown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := mk(nil).EvaluateContext(context.Background(), grown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm, bare) {
-		t.Errorf("cached Evaluate differs from uncached:\ncached: %+v\nbare:   %+v", warm, bare)
-	}
-	if warm[0].Pruned {
-		t.Error("Evaluate must never prune")
-	}
+	t.Run("evaluate", func(t *testing.T) {
+		mk := func(c evalcache.Cache) *Middleware {
+			m, err := New(Config{
+				Strategies:     []lppm.Mechanism{lppm.Identity{}},
+				MaxPOIExposure: 0.1,
+				Parallelism:    2,
+				Cache:          c,
+			}, lyon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		m := mk(evalcache.NewLRU(0))
+		if _, _, err := m.PublishContext(context.Background(), ds); !errors.Is(err, ErrNoStrategy) {
+			t.Fatalf("err = %v, want ErrNoStrategy", err)
+		}
+		warm, err := m.EvaluateContext(context.Background(), grown(ds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare, err := mk(nil).EvaluateContext(context.Background(), grown(ds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := marshal(t, warm), marshal(t, bare); got != want {
+			t.Errorf("cached Evaluate differs from uncached:\ncached: %s\nbare:   %s", got, want)
+		}
+	})
 }
 
 // TestReferencePOIsCachedMatchesUncached: the memoized reference-POI path
@@ -378,9 +410,8 @@ func TestReferencePOIsCachedMatchesUncached(t *testing.T) {
 // publish calls over distinct middlewares and both pipelines (one dataset
 // published monolithically, another sharded); run under -race (CI does).
 // A small byte bound forces concurrent evictions. Every result must match
-// its pipeline's uncached reference report — the same-content pruning
-// guard is what makes this hold even when prune records land before a
-// selection entry does.
+// its pipeline's uncached reference report, whichever entries another
+// goroutine stored or evicted first.
 func TestConcurrentPublishSharedCache(t *testing.T) {
 	dsA := fixture(t)
 	dsB, _, err := mobgen.Generate(mobgen.Config{Seed: 22, Users: 4, Days: 2})

@@ -145,12 +145,11 @@ type Config struct {
 	// Cache is the optional evaluation cache (see internal/evalcache):
 	// per-user reference-POI memoization, per-trajectory attacker
 	// extraction memoization, whole-selection caching keyed by dataset/
-	// shard content hash, and adaptive portfolio pruning. nil disables
-	// caching. A cache may be shared by several middlewares and used from
-	// concurrent Publish calls; entries are scoped by a configuration
-	// fingerprint, so a config change never serves stale results. For
-	// unchanged inputs, warm reports and releases are byte-identical to
-	// cold ones.
+	// shard content hash. nil disables caching. A cache may be shared by
+	// several middlewares and used from concurrent Publish calls; entries
+	// are scoped by a configuration fingerprint, so a config change never
+	// serves stale results. Warm reports and releases are byte-identical
+	// to cold ones on any input, changed or not.
 	Cache evalcache.Cache
 	// Metrics, when non-nil, threads latency histograms through the hot
 	// paths (Publish/PublishSharded/Evaluate runs, per-shard selection,
@@ -161,8 +160,8 @@ type Config struct {
 	Metrics *EngineMetrics
 	// Tracer, when non-nil, records a span tree per publication run:
 	// partitioning, per-shard selection, per-strategy evaluation with the
-	// POI-recovery attack, cache and pruning short-circuits, and the
-	// final merge (see internal/otrace). nil — the zero value — disables
+	// POI-recovery attack, selection-cache hits, and the final merge (see
+	// internal/otrace). nil — the zero value — disables
 	// tracing with no clock reads. Like Metrics, tracing never changes
 	// results: reports and releases stay byte-identical at any
 	// parallelism whether tracing is on or off.
@@ -244,18 +243,6 @@ type Evaluation struct {
 	// Released is the number of trajectories the strategy releases
 	// (suppression shrinks it).
 	Released int
-	// Pruned reports that adaptive portfolio pruning skipped this
-	// strategy's full POI-recovery attack: a prior run on the same shard
-	// disqualified it at proxy values (released-trajectory count, grid
-	// coverage) at or below this run's. Pruned strategies carry only the
-	// cheap proxies (Released, Coverage), are treated as not meeting the
-	// floor, and can never be selected. Pruning requires Config.Cache and
-	// only ever applies to changed data — unchanged data is served from
-	// the selection cache before pruning is consulted.
-	Pruned bool
-	// PrunedReason records why the strategy was pruned (deterministic,
-	// derived from the prior disqualification and this run's proxies).
-	PrunedReason string
 }
 
 // Selection is the outcome of a Publish run.

@@ -26,19 +26,15 @@ type evalContext struct {
 	// view is the raw half of every utility score (see metrics.RawView);
 	// each strategy scores its protected dataset against it in one pass.
 	view *metrics.RawView
-	// rawHash is the content hash of raw, set only when a cache is
-	// configured; pruning uses it to guarantee unchanged content is never
-	// pruned (see pruneRecord).
-	rawHash [trace.HashSize]byte
 }
 
 // newEvalContext derives the shared analysis state from the raw dataset
-// and its content hashes (zero without a cache).
-func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset, hs contentHashes) (*evalContext, error) {
+// and its trajectory hashes (nil without a cache).
+func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset, hashes [][trace.HashSize]byte) (*evalContext, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	truth, err := m.referencePOIs(raw, hs.trajectories)
+	truth, err := m.referencePOIs(raw, hashes)
 	if err != nil {
 		return nil, err
 	}
@@ -54,10 +50,9 @@ func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset, hs 
 		return nil, err
 	}
 	return &evalContext{
-		raw:     raw,
-		truth:   truth,
-		view:    metrics.NewRawView(raw, grid, m.cfg.TopK, lastDay(raw)),
-		rawHash: hs.dataset,
+		raw:   raw,
+		truth: truth,
+		view:  metrics.NewRawView(raw, grid, m.cfg.TopK, lastDay(raw)),
 	}, nil
 }
 
@@ -99,16 +94,7 @@ func (w *winner) offer(i int, ev Evaluation, prot *trace.Dataset) {
 
 // evaluateStrategy scores one strategy against the shared context,
 // protecting the dataset on up to parallelism trajectory workers.
-//
-// A non-empty pruneKey enables adaptive portfolio pruning: the cheap
-// proxies (released-trajectory count and grid coverage, both computed
-// before the attack) are compared against the record of this strategy's
-// last floor failure on the same shard. Both proxies grow with the amount
-// of location evidence the release exposes, so when the data only grew the
-// strategy is disqualified again without running the POI-recovery attack.
-// Pruned evaluations carry only the proxies and can never win; a full
-// evaluation that fails the floor refreshes the record.
-func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lppm.Mechanism, parallelism int, pruneKey string) (ev Evaluation, prot *trace.Dataset, err error) {
+func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lppm.Mechanism, parallelism int) (ev Evaluation, prot *trace.Dataset, err error) {
 	t0 := m.cfg.Metrics.start()
 	defer m.cfg.Metrics.observeStrategy(t0)
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.strategy", otrace.String("strategy", s.Name()))
@@ -121,30 +107,21 @@ func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lp
 		return Evaluation{}, nil, err
 	}
 	score := ec.view.Score(prot)
-	ev = Evaluation{
-		Strategy: s.Name(),
-		Released: prot.Len(),
-		Coverage: score.Coverage,
-	}
-	if rec, ok := m.loadPruneRecord(pruneKey, ev.Strategy); ok && rec.Hash != ec.rawHash &&
-		rec.Released <= ev.Released && rec.Coverage <= ev.Coverage {
-		ev.Pruned = true
-		ev.PrunedReason = fmt.Sprintf(
-			"failed privacy floor at released=%d coverage=%.4f; now released=%d coverage=%.4f",
-			rec.Released, rec.Coverage, ev.Released, ev.Coverage)
-		m.cache.AddPruned(1)
-		sp.SetAttr(otrace.Bool("pruned", true))
-		return ev, nil, nil
-	}
-	// The attack's own span makes the prune/cache savings visible on the
-	// timeline.
+	// The attack's own span makes the attacker-extraction cache's savings
+	// visible on the timeline.
 	_, asp := m.cfg.Tracer.Start(ctx, "core.attack")
-	ev.Privacy = m.recovery.Run(ec.truth, prot)
+	privacy := m.recovery.Run(ec.truth, prot)
 	asp.End()
-	ev.MeetsFloor = ev.Privacy.F1() <= m.cfg.MaxPOIExposure
-	ev.HotspotOverlap = score.HotspotOverlap
-	ev.TrafficUtility = score.TrafficUtility
-	ev.Distortion = score.Distortion
+	ev = Evaluation{
+		Strategy:       s.Name(),
+		Privacy:        privacy,
+		MeetsFloor:     privacy.F1() <= m.cfg.MaxPOIExposure,
+		HotspotOverlap: score.HotspotOverlap,
+		TrafficUtility: score.TrafficUtility,
+		Distortion:     score.Distortion,
+		Coverage:       score.Coverage,
+		Released:       prot.Len(),
+	}
 	switch m.cfg.Objective {
 	case ObjectiveTraffic:
 		ev.Utility = ev.TrafficUtility
@@ -152,11 +129,6 @@ func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lp
 		ev.Utility = 1 / (1 + ev.Distortion.Mean/250)
 	default:
 		ev.Utility = ev.HotspotOverlap
-	}
-	if !ev.MeetsFloor {
-		m.storePruneRecord(pruneKey, ev.Strategy, pruneRecord{
-			Released: ev.Released, Coverage: ev.Coverage, Hash: ec.rawHash,
-		})
 	}
 	return ev, prot, nil
 }
@@ -172,11 +144,9 @@ func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lp
 //
 // When track is non-nil every outcome is offered to it, retaining the best
 // floor-meeting protected dataset for Publish; a nil track (Evaluate)
-// keeps no protected data at all. pruneKey scopes adaptive pruning (see
-// evaluateStrategy); empty disables it, which Evaluate relies on to stay a
-// pure scorecard.
-func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hs contentHashes, track *winner, budget int, pruneKey string) ([]Evaluation, error) {
-	ec, err := m.newEvalContext(ctx, raw, hs)
+// keeps no protected data at all.
+func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hashes [][trace.HashSize]byte, track *winner, budget int) ([]Evaluation, error) {
+	ec, err := m.newEvalContext(ctx, raw, hashes)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +161,7 @@ func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hs con
 	inner := budget / workers // workers >= 1: New requires a non-empty portfolio
 	evals := make([]Evaluation, n)
 	err = par.For(ctx, n, workers, func(ctx context.Context, i int) error {
-		ev, prot, err := m.evaluateStrategy(ctx, ec, m.strategies[i], inner, pruneKey)
+		ev, prot, err := m.evaluateStrategy(ctx, ec, m.strategies[i], inner)
 		if err != nil {
 			return err
 		}
@@ -216,10 +186,9 @@ func (m *Middleware) EvaluateContext(ctx context.Context, raw *trace.Dataset) (e
 	defer m.cfg.Metrics.observeEvaluate(t0)
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.evaluate")
 	defer func() { endSpan(sp, err) }()
-	// No selection caching and no pruning: Evaluate is a pure scorecard and
-	// must always report the full attack for every strategy. It still
-	// benefits from the reference-POI and attacker-extraction memoization.
-	return m.evaluateAll(ctx, raw, m.hashContent(raw), nil, m.cfg.Parallelism, "")
+	// No selection caching: Evaluate is a pure scorecard. It still benefits
+	// from the reference-POI and attacker-extraction memoization.
+	return m.evaluateAll(ctx, raw, m.hashContent(raw).trajectories, nil, m.cfg.Parallelism)
 }
 
 // Evaluate scores every candidate strategy against the raw dataset. It is
@@ -233,12 +202,12 @@ func (m *Middleware) Evaluate(raw *trace.Dataset) ([]Evaluation, error) {
 // and publishShard: evaluate the portfolio with winner tracking, or serve
 // the whole result (scorecard, winner index, pre-pseudonymisation protected
 // dataset) from the evaluation cache when the dataset content and the
-// configuration fingerprint match a prior run. Cache hits bypass pruning
-// entirely, so unchanged data always reports the full cold scorecard.
-// raw's trajectories are hashed once here; every cache key of the run is
+// configuration fingerprint match a prior run. A hit is the scorecard a
+// cache-less run reports; a miss scores every strategy in full, so warm
+// and cold results are byte-identical on any input. raw's trajectories are hashed once here; every cache key of the run is
 // derived from those hashes. With a cache the result is shared with it and
 // must reach the caller only through handOut and scorecard.
-func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, pruneKey string, budget int) (_ *cachedSelection, err error) {
+func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, budget int) (_ *cachedSelection, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -253,7 +222,7 @@ func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, p
 		sp.SetAttr(otrace.Bool("cache_hit", false))
 	}
 	track := &winner{idx: -1}
-	evals, err := m.evaluateAll(ctx, raw, hs, track, budget, pruneKey)
+	evals, err := m.evaluateAll(ctx, raw, hs.trajectories, track, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +271,7 @@ func (m *Middleware) PublishContext(ctx context.Context, raw *trace.Dataset) (_ 
 	defer m.cfg.Metrics.observePublish(t0)
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.publish")
 	defer func() { endSpan(sp, err) }()
-	cs, err := m.selectStrategies(ctx, raw, monolithicPruneKey, m.cfg.Parallelism)
+	cs, err := m.selectStrategies(ctx, raw, m.cfg.Parallelism)
 	if err != nil {
 		return nil, nil, err
 	}

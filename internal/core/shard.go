@@ -282,8 +282,7 @@ type ShardedSelection struct {
 // publishShard runs the selection engine on one shard with the given
 // worker budget, returning the scorecard and the winner's protected data.
 // Selection is cached per shard-content hash (see selectStrategies), so an
-// incremental re-publication only evaluates the shards whose data changed;
-// the shard key scopes the pruning records.
+// incremental re-publication only evaluates the shards whose data changed.
 func (m *Middleware) publishShard(ctx context.Context, sh Shard, budget int) (_ *cachedSelection, err error) {
 	t0 := m.cfg.Metrics.start()
 	defer m.cfg.Metrics.observeShard(t0)
@@ -291,7 +290,7 @@ func (m *Middleware) publishShard(ctx context.Context, sh Shard, budget int) (_ 
 	// buckets), never user identifiers, so they are telemetry-safe.
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.shard", otrace.String("key", sh.Key))
 	defer func() { endSpan(sp, err) }()
-	cs, err := m.selectStrategies(ctx, sh.Data, sh.Key, budget)
+	cs, err := m.selectStrategies(ctx, sh.Data, budget)
 	if err != nil {
 		return nil, fmt.Errorf("core: shard %s: %w", sh.Key, err)
 	}

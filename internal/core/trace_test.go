@@ -150,8 +150,7 @@ func TestPublishShardedTraceTree(t *testing.T) {
 				attr(sh, "key"), len(strategies), len(m.Strategies()))
 		}
 		for _, st := range strategies {
-			// A cold run has no prune records: every strategy runs exactly
-			// one attack.
+			// Every strategy runs exactly one attack.
 			if attacks := children(st, "core.attack"); len(attacks) != 1 {
 				t.Errorf("strategy %q has %d core.attack spans, want 1",
 					attr(st, "strategy"), len(attacks))

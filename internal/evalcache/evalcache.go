@@ -19,11 +19,13 @@
 //     evaluation entirely.
 //
 // Keys are content-addressed: the same key always maps to the same value,
-// so a cache hit is byte-identical to recomputation and reports stay
-// byte-identical between cold and warm runs. Cached values are immutable
-// and shared: the engine stores what a run produced and later runs read
-// it in place, without copying on Put or Get. The only copy is made at the
-// release — the dataset and scorecards a publication hands its caller.
+// so a cache hit is byte-identical to recomputation. A miss recomputes in
+// full — the engine never skips work on a guess — so reports and releases
+// stay byte-identical between cold and warm runs on any input, changed or
+// not. Cached values are immutable and shared: the engine stores what a
+// run produced and later runs read it in place, without copying on Put or
+// Get. The only copy is made at the release — the dataset and scorecards
+// a publication hands its caller.
 //
 // Cache is an interface so later work can add a persistent backend behind
 // the same engine wiring; NewLRU is the first backend: an in-memory,
@@ -35,8 +37,7 @@ import (
 	"sync"
 )
 
-// Stats are the cache gauges, exposed through hive.Stats / GET /api/stats
-// alongside the ingestion gauges.
+// Stats are the cache gauges.
 type Stats struct {
 	// Entries is the number of live cache entries.
 	Entries int `json:"entries"`
@@ -48,10 +49,10 @@ type Stats struct {
 	// Evictions counts entries dropped to keep Bytes under the bound
 	// (entries larger than the whole bound count as an immediate eviction).
 	Evictions int64 `json:"evictions"`
-	// Pruned counts strategies the engine skipped via adaptive portfolio
-	// pruning (a cheap proxy showed a prior run already disqualified the
-	// strategy); recorded here so one counter covers every middleware
-	// sharing the cache.
+	// Pruned is always 0: nothing skips a strategy evaluation.
+	//
+	// Deprecated: kept only because the benchmark harness (bench/sut.go)
+	// reads it; it goes when that reader does.
 	Pruned int64 `json:"pruned"`
 }
 
@@ -69,8 +70,6 @@ type Cache interface {
 	// Put stores value under key at the given cost, replacing any previous
 	// entry. Backends may decline to store (e.g. cost exceeds the bound).
 	Put(key string, value any, cost int64)
-	// AddPruned bumps the pruned-strategy counter by n.
-	AddPruned(n int64)
 	// Stats snapshots the gauges.
 	Stats() Stats
 }
@@ -89,7 +88,7 @@ type LRU struct {
 	order    *list.List // front = most recently used; elements hold *entry
 	entries  map[string]*list.Element
 
-	hits, misses, evictions, pruned int64
+	hits, misses, evictions int64
 }
 
 // entry is one cached key/value with its cost estimate.
@@ -171,13 +170,6 @@ func (c *LRU) removeLocked(el *list.Element) {
 	c.bytes -= e.cost
 }
 
-// AddPruned implements Cache.
-func (c *LRU) AddPruned(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pruned += n
-}
-
 // Stats implements Cache.
 func (c *LRU) Stats() Stats {
 	c.mu.Lock()
@@ -188,6 +180,5 @@ func (c *LRU) Stats() Stats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Pruned:    c.pruned,
 	}
 }

@@ -97,15 +97,6 @@ func TestDefaultBound(t *testing.T) {
 	}
 }
 
-func TestAddPruned(t *testing.T) {
-	c := NewLRU(100)
-	c.AddPruned(2)
-	c.AddPruned(1)
-	if st := c.Stats(); st.Pruned != 3 {
-		t.Errorf("pruned = %d, want 3", st.Pruned)
-	}
-}
-
 // TestConcurrentAccess hammers one cache from many goroutines; run with
 // -race (CI does) to prove the locking.
 func TestConcurrentAccess(t *testing.T) {
@@ -124,16 +115,11 @@ func TestConcurrentAccess(t *testing.T) {
 					}
 				}
 				c.Put(key, i, int64(i%128))
-				c.AddPruned(1)
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := c.Stats()
-	if st.Pruned != 8*500 {
-		t.Errorf("pruned = %d, want %d", st.Pruned, 8*500)
-	}
-	if st.Bytes > 1<<16 {
+	if st := c.Stats(); st.Bytes > 1<<16 {
 		t.Errorf("bytes = %d exceeds bound", st.Bytes)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"apisense/internal/apierr"
-	"apisense/internal/evalcache"
 	"apisense/internal/geo"
 	"apisense/internal/hive/store"
 	"apisense/internal/ingest"
@@ -533,14 +532,9 @@ func (h *Hive) uploadsJSON(taskID string) ([][]byte, error) {
 // (queue depth, accepted/rejected/dropped counters, group commits).
 type IngestStats = ingest.Stats
 
-// EvalCacheStats are the evaluation-cache gauges of an attached cache
-// (entries, bytes, hits, misses, evictions, pruned strategies).
-type EvalCacheStats = evalcache.Stats
-
-// Stats summarises the Hive state. Ingest, EvalCache and Store are
-// populated by the HTTP layer when the server runs with the
-// corresponding subsystem (see WithIngestQueue, WithEvalCache and
-// AttachStore).
+// Stats summarises the Hive state. Ingest and Store are populated by the
+// HTTP layer when the server runs with the corresponding subsystem (see
+// WithIngestQueue and AttachStore).
 type Stats struct {
 	Devices int `json:"devices"`
 	Tasks   int `json:"tasks"`
@@ -548,8 +542,6 @@ type Stats struct {
 	Records int `json:"records"`
 	// Ingest snapshots the ingest queue, when one is wired in.
 	Ingest *IngestStats `json:"ingest,omitempty"`
-	// EvalCache snapshots the evaluation cache, when one is wired in.
-	EvalCache *EvalCacheStats `json:"eval_cache,omitempty"`
 	// Store snapshots the storage engine, when one is attached.
 	Store *StoreStats `json:"store,omitempty"`
 }

@@ -4,15 +4,13 @@ import (
 	"strconv"
 	"time"
 
-	"apisense/internal/evalcache"
 	"apisense/internal/obs"
 )
 
 // Metrics instruments the Hive HTTP surface and registry state for the
 // /metrics endpoint. Build one with NewMetrics, hand it to NewServer via
 // WithMetrics, and the server wires everything else: registry gauges,
-// journal fsync counter, evaluation-cache series and per-route HTTP
-// request/latency/error-code counters.
+// store series and per-route HTTP request/latency/error-code counters.
 //
 // Telemetry safety: label values are route patterns, task IDs, status
 // codes and error codes — never device or user identifiers.
@@ -139,33 +137,6 @@ func (m *Metrics) BindHive(h *Hive) {
 			return float64(ss[shard])
 		}, strconv.Itoa(shard))
 	}
-}
-
-// BindEvalCache registers the evaluation-cache series: entry/byte gauges
-// and hit/miss/eviction/pruned counters, all read from c.Stats() at
-// scrape time. Nil-safe on both receiver and c.
-func (m *Metrics) BindEvalCache(c evalcache.Cache) {
-	if m == nil || c == nil {
-		return
-	}
-	m.reg.GaugeFunc("apisense_evalcache_entries",
-		"Live entries in the evaluation cache.",
-		func() float64 { return float64(c.Stats().Entries) })
-	m.reg.GaugeFunc("apisense_evalcache_bytes",
-		"Approximate bytes retained by the evaluation cache.",
-		func() float64 { return float64(c.Stats().Bytes) })
-	m.reg.CounterFunc("apisense_evalcache_hits_total",
-		"Evaluation-cache lookups answered from the cache.",
-		func() float64 { return float64(c.Stats().Hits) })
-	m.reg.CounterFunc("apisense_evalcache_misses_total",
-		"Evaluation-cache lookups that fell through to a live evaluation.",
-		func() float64 { return float64(c.Stats().Misses) })
-	m.reg.CounterFunc("apisense_evalcache_evictions_total",
-		"Evaluation-cache entries evicted to stay under the byte bound.",
-		func() float64 { return float64(c.Stats().Evictions) })
-	m.reg.CounterFunc("apisense_evalcache_pruned_total",
-		"Strategy evaluations skipped by adaptive portfolio pruning.",
-		func() float64 { return float64(c.Stats().Pruned) })
 }
 
 // observeRequest records one served request: the route/status counter and

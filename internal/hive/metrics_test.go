@@ -13,15 +13,14 @@ import (
 	"time"
 
 	"apisense/internal/apierr"
-	"apisense/internal/evalcache"
 	"apisense/internal/ingest"
 	"apisense/internal/obs"
 	"apisense/internal/transport"
 )
 
 // TestMetricsEndpoint drives a fully wired server — journal, ingest
-// queue, eval cache, metrics — and checks that GET /metrics serves the
-// documented series in Prometheus text format.
+// queue, metrics — and checks that GET /metrics serves the documented
+// series in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	h, j, err := recoverDir(t.TempDir())
 	if err != nil {
@@ -35,11 +34,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		Metrics: ingest.NewMetrics(reg),
 	})
 	defer q.Close()
-	cache := evalcache.NewLRU(0)
 
 	srv := httptest.NewServer(NewServer(h,
 		WithIngestQueue(q),
-		WithEvalCache(cache),
 		WithMetrics(NewMetrics(reg)),
 	))
 	defer srv.Close()
@@ -58,9 +55,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("batch submit: status %d, body %s", status, body)
 	}
-	// The queue drains asynchronously; wait for the commit to land.
+	// The queue drains asynchronously; wait for the commit to land and for
+	// the queue to count it (it does so after the Hive admits the uploads).
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Stats().Uploads != 2 {
+	for h.Stats().Uploads != 2 || q.Stats().BatchesDrained != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("uploads never drained: stats %+v", h.Stats())
 		}
@@ -115,10 +113,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`apisense_http_requests_total{route="GET /api/tasks/{id}",code="404"} 1`,
 		`apisense_http_request_seconds_bucket{route="POST /api/uploads/batch",le="+Inf"} 1`,
 		`apisense_http_errors_total{code="hive.unknown_task"} 1`,
-		// Eval cache series exist (idle cache: zeros).
-		"apisense_evalcache_entries 0",
-		"apisense_evalcache_hits_total 0",
-		"apisense_evalcache_misses_total 0",
 	}
 	for _, w := range wantSeries {
 		if !strings.Contains(out, w) {

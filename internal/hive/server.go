@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"apisense/internal/apierr"
-	"apisense/internal/evalcache"
 	"apisense/internal/ingest"
 	"apisense/internal/otrace"
 	"apisense/internal/transport"
@@ -53,14 +52,13 @@ import (
 // docs/OPERATIONS.md); transport.Client surfaces it on ErrStatus so
 // callers can branch with errors.Is against the hive sentinels.
 type Server struct {
-	hive      *Hive
-	queue     *ingest.Queue   // nil = synchronous ingestion
-	evalCache evalcache.Cache // nil = no cache gauges
-	metrics   *Metrics        // nil = no /metrics route, no HTTP instruments
-	tracer    *otrace.Tracer  // nil = no tracing, no /debug/traces routes
-	logger    *slog.Logger    // nil = no request logging
-	draining  atomic.Bool     // readiness: set by SetDraining at shutdown
-	mux       *http.ServeMux
+	hive     *Hive
+	queue    *ingest.Queue  // nil = synchronous ingestion
+	metrics  *Metrics       // nil = no /metrics route, no HTTP instruments
+	tracer   *otrace.Tracer // nil = no tracing, no /debug/traces routes
+	logger   *slog.Logger   // nil = no request logging
+	draining atomic.Bool    // readiness: set by SetDraining at shutdown
+	mux      *http.ServeMux
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -76,19 +74,10 @@ func WithIngestQueue(q *ingest.Queue) ServerOption {
 	return func(s *Server) { s.queue = q }
 }
 
-// WithEvalCache surfaces the evaluation cache's gauges (entries, bytes,
-// hits, misses, evictions, pruned strategies) under /api/stats — and
-// under /metrics when WithMetrics is also set. The cache itself is owned
-// by whoever runs the publication engine — the server only reads its
-// statistics.
-func WithEvalCache(c evalcache.Cache) ServerOption {
-	return func(s *Server) { s.evalCache = c }
-}
-
 // WithMetrics serves m's registry at GET /metrics and instruments every
 // route with request, latency and error-code series. NewServer binds the
-// Hive gauges (and the journal fsync counter and eval-cache series, when
-// present) onto the same registry, so one option lights up the whole
+// Hive gauges (and the store series, when a store is attached) onto the
+// same registry, so one option lights up the whole
 // observability surface described in docs/OPERATIONS.md.
 func WithMetrics(m *Metrics) ServerOption {
 	return func(s *Server) { s.metrics = m }
@@ -125,7 +114,6 @@ func NewServer(h *Hive, opts ...ServerOption) *Server {
 	}
 	if s.metrics != nil {
 		s.metrics.BindHive(h)
-		s.metrics.BindEvalCache(s.evalCache)
 		s.handle("GET /metrics", s.metrics.Registry().ServeHTTP)
 	}
 	if s.tracer != nil {
@@ -554,10 +542,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if s.queue != nil {
 		qs := s.queue.Stats()
 		st.Ingest = &qs
-	}
-	if s.evalCache != nil {
-		cs := s.evalCache.Stats()
-		st.EvalCache = &cs
 	}
 	if ss, ok := s.hive.StoreStats(); ok {
 		st.Store = &ss

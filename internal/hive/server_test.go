@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"apisense/internal/evalcache"
 	"apisense/internal/ingest"
 	"apisense/internal/transport"
 )
@@ -299,43 +298,6 @@ func waitServerFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
-}
-
-// TestServerEvalCacheStats: with WithEvalCache the /api/stats response
-// carries the evaluation-cache gauges; without it the field is absent.
-func TestServerEvalCacheStats(t *testing.T) {
-	cache := evalcache.NewLRU(1024)
-	cache.Put("k", 1, 10)
-	cache.Get("k")
-	cache.Get("missing")
-	cache.AddPruned(3)
-	srv := httptest.NewServer(NewServer(New(), WithEvalCache(cache)))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/api/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats Stats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.EvalCache == nil {
-		t.Fatal("stats.EvalCache missing with a cache wired in")
-	}
-	got := *stats.EvalCache
-	want := EvalCacheStats{Entries: 1, Bytes: 10, Hits: 1, Misses: 1, Pruned: 3}
-	if got != want {
-		t.Errorf("eval cache gauges = %+v, want %+v", got, want)
-	}
-
-	bare := httptest.NewServer(NewServer(New()))
-	defer bare.Close()
-	_, body, _ := getJSON(t, bare.URL, "/api/stats")
-	if strings.Contains(body, "eval_cache") {
-		t.Errorf("stats without a cache should omit eval_cache: %s", body)
-	}
 }
 
 // TestUploadsRouteStreamsHeldBytes: GET /api/tasks/{id}/uploads streams
