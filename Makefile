@@ -60,6 +60,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreMatchesReference$$' -fuzztime=10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/hive/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/script/
+	$(GO) test -run '^$$' -fuzz '^FuzzStayPointsMatchReference$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/poi/
+	$(GO) test -run '^$$' -fuzz '^FuzzWithinMatchesDistance$$' -fuzztime=10s ./internal/geo/
 
 fmt:
 	gofmt -w .

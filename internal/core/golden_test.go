@@ -15,8 +15,10 @@ import (
 
 // updateGolden rewrites testdata/selection_seed1.golden.json from the
 // current tree. The checked-in file was written by the commit before the
-// scoring kernel replaced the per-metric scorers; regenerate it only with a
-// change that means to alter reports.
+// scoring kernel replaced the per-metric scorers, and rewritten once when
+// the distortion mean became the exact sum (only Distortion.Mean moved, in
+// its last digits); regenerate it only with a change that means to alter
+// reports.
 var updateGolden = flag.Bool("update-golden", false, "rewrite internal/core/testdata golden files")
 
 // goldenPublication is the pinned outcome of one sharded publication: the
@@ -28,9 +30,9 @@ type goldenPublication struct {
 
 // TestSelectionMatchesParentGolden pins one sharded publication (mobgen
 // seed 1, 8 users x 4 days, 36 h windows) to the bytes the per-metric
-// scorers produced: every Evaluation field of every shard and the release
-// content hash, at parallelism 1/3/8, computed cold, computed into a cache
-// and served warm from it.
+// scorers produced, exact distortion means aside: every Evaluation field
+// of every shard and the release content hash, at parallelism 1/3/8,
+// computed cold, computed into a cache and served warm from it.
 func TestSelectionMatchesParentGolden(t *testing.T) {
 	ds, city, err := mobgen.Generate(mobgen.Config{Seed: 1, Users: 8, Days: 4})
 	if err != nil {

@@ -69,6 +69,79 @@ func Distance(p, q Point) float64 {
 	return EarthRadius * math.Sqrt(dLat*dLat+dLon*dLon)
 }
 
+// LatBand decides Distance(p, q) <= d for pairs whose mean latitude lies in
+// a band of latitudes, mostly without the cosine Distance evaluates. Over
+// [lo, hi] within ±90°, cos is largest at the latitude nearest the equator
+// and smallest at the one furthest from it, so the cosine Distance applies
+// to such a pair lies in [cLo, cHi], both taken once when the band is made.
+// Squared, the scaled distance is then bracketed by
+//
+//	dLat² + (dLon·cLo)²  ≤  (Distance/R)²  ≤  dLat² + (dLon·cHi)²
+//
+// and when the whole bracket falls below or above (d/R)² the answer is
+// known. Every quantity here carries a relative rounding error of a few
+// units of 2⁻⁵³ (~1e-15): the cosine bounds are widened by 1e-12, and each
+// test must clear (d/R)² by a relative 1e-9, so a pair the bracket decides
+// is decided as Distance decides it. Pairs it does not settle — those
+// within ~0.1% of d on a city-sized band — fall back to Distance, as do
+// all pairs of a band that is not within ±90° or holds a NaN, a mean
+// latitude outside the band, and radii whose (d/R)² is not a normal float.
+// The zero LatBand decides nothing.
+type LatBand struct {
+	ok       bool
+	lo, hi   float64 // degrees
+	cLo, cHi float64
+}
+
+const (
+	// bandCosSlack widens the cosine bounds past math.Cos's error.
+	bandCosSlack = 1e-12
+	// bandMargin is the relative margin each test keeps from (d/R)².
+	bandMargin = 1e-9
+)
+
+// NewLatBand returns the band of latitudes [lo, hi], in degrees. A band
+// that is empty, holds a NaN or reaches past ±90° spares no cosine: its
+// Within calls Distance for every pair.
+func NewLatBand(lo, hi float64) LatBand {
+	if !(-90 <= lo && lo <= hi && hi <= 90) {
+		return LatBand{}
+	}
+	near := 0.0 // the latitude nearest the equator
+	if lo > 0 {
+		near = lo
+	} else if hi < 0 {
+		near = -hi
+	}
+	far := max(-lo, hi)
+	return LatBand{
+		ok:  true,
+		lo:  lo,
+		hi:  hi,
+		cLo: max(math.Cos(far*degToRad)-bandCosSlack, 0),
+		cHi: math.Cos(near*degToRad) + bandCosSlack,
+	}
+}
+
+// Within returns exactly Distance(p, q) <= d.
+func (b LatBand) Within(p, q Point, d float64) bool {
+	mid := (p.Lat + q.Lat) / 2
+	t := d / EarthRadius
+	if b.ok && mid >= b.lo && mid <= b.hi && t >= 0x1p-511 && t <= 0x1p511 {
+		thr := t * t
+		dLat := (q.Lat - p.Lat) * degToRad
+		dLon := (q.Lon - p.Lon) * degToRad
+		lat2 := dLat * dLat
+		if x := dLon * b.cHi; (lat2+x*x)*(1+bandMargin) < thr {
+			return true
+		}
+		if x := dLon * b.cLo; lat2+x*x > thr*(1+bandMargin) {
+			return false
+		}
+	}
+	return Distance(p, q) <= d
+}
+
 // Bearing returns the initial great-circle bearing in degrees [0, 360) to
 // travel from p to q.
 func Bearing(p, q Point) float64 {

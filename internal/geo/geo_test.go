@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -193,4 +194,96 @@ func TestTranslateDistances(t *testing.T) {
 	if d := Haversine(lyon, q); math.Abs(d-500) > 1 {
 		t.Errorf("Translate(300,400) distance = %f, want 500", d)
 	}
+}
+
+// withinRadii returns radii around d = Distance(p, q): d itself, its
+// float neighbours, and relative steps from 1e-12 to 1e-3 either side —
+// the radii at which the band's margins and its cosine bounds matter.
+func withinRadii(d float64) []float64 {
+	out := []float64{d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1))}
+	for _, rel := range []float64{1e-12, 1e-10, 1e-9, 1e-7, 1e-5, 1e-3} {
+		out = append(out, d*(1-rel), d*(1+rel))
+	}
+	return out
+}
+
+// checkWithin holds b.Within to Distance <= d at every radius given.
+func checkWithin(t *testing.T, b LatBand, p, q Point, radii ...float64) {
+	t.Helper()
+	for _, d := range radii {
+		if got, want := b.Within(p, q, d), Distance(p, q) <= d; got != want {
+			t.Fatalf("band %+v: Within(%v, %v, %v) = %v, Distance = %v",
+				b, p, q, d, got, Distance(p, q))
+		}
+	}
+}
+
+// TestWithinMatchesDistance: on random city-scale pairs at latitudes from
+// -80° to 80° — pairs along a meridian, along a parallel and in any
+// direction — within trajectory-sized bands, Within answers exactly as
+// Distance does at radii from a few ulps to 0.1% away from the pair's
+// distance.
+func TestWithinMatchesDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for range 200000 {
+		lat := rng.Float64()*160 - 80
+		p := Point{Lat: lat, Lon: rng.Float64()*360 - 180}
+		dist := math.Exp(rng.Float64()*12 - 3) // 5 cm to 8 km
+		var q Point
+		switch rng.Intn(3) {
+		case 0:
+			q = Translate(p, 0, dist)
+		case 1:
+			q = Point{Lat: p.Lat, Lon: p.Lon + dist/111320}
+		default:
+			q = Translate(p, dist*(rng.Float64()*2-1), dist*(rng.Float64()*2-1))
+		}
+		spread := rng.Float64() * 0.2
+		b := NewLatBand(min(p.Lat, q.Lat)-spread*rng.Float64(), max(p.Lat, q.Lat)+spread*rng.Float64())
+		checkWithin(t, b, p, q, withinRadii(Distance(p, q))...)
+	}
+}
+
+// TestWithinOddInput: poles, the antimeridian, bands that decide nothing,
+// points outside their band, and non-finite or negative radii and
+// coordinates.
+func TestWithinOddInput(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bands := []LatBand{
+		{}, NewLatBand(-90, 90), NewLatBand(89, 90), NewLatBand(-90, -89.5), NewLatBand(-1, 1),
+		NewLatBand(45, 46), NewLatBand(46, 45), NewLatBand(nan, 45), NewLatBand(-95, 0), NewLatBand(0, inf),
+	}
+	points := []Point{
+		{90, 0}, {90, 180}, {89.9999, -179.9999}, {-90, 0}, {-89.99999, 45}, {0, 180}, {0, -180},
+		{45.5, 4.8}, {45.5001, 4.8002}, {46.5, 4.8}, {44.9, 4.8}, {95, 0}, {-95, 0},
+		{nan, 0}, {0, nan}, {inf, 0}, {0, inf}, {45.5, -inf}, {45.5, 1e308}, {45.5, -1e308},
+		{1e-300, 0}, {-1e-300, 5e-324},
+	}
+	for _, b := range bands {
+		for _, p := range points {
+			for _, q := range points {
+				d := Distance(p, q)
+				radii := append(withinRadii(d), 0, -1, nan, inf, -inf, 1e-320, 1e-160, 1e160, 1e300, 200, 500)
+				checkWithin(t, b, p, q, radii...)
+			}
+		}
+	}
+}
+
+// FuzzWithinMatchesDistance: Within is Distance <= d for arbitrary floats,
+// with the band either given or spanning the pair and a third latitude.
+func FuzzWithinMatchesDistance(f *testing.F) {
+	f.Add(45.764, 4.8357, 45.765, 4.837, 45.7, 200.0)
+	f.Add(89.999, 0.0, 90.0, 180.0, 89.0, 500.0)
+	f.Add(-90.0, -170.0, -89.9, 10.0, -91.0, 1e4)
+	f.Add(0.0, 179.999, -0.001, -179.999, 0.0, 250.0)
+	f.Add(45.0, math.Inf(1), 45.0, 0.0, 44.0, 200.0)
+	f.Add(math.NaN(), 0.0, 45.0, 0.0, 44.0, 200.0)
+	f.Add(45.0, 4.0, 45.0, 4.0, 45.0, 0.0)
+	f.Fuzz(func(t *testing.T, plat, plon, qlat, qlon, lat, d float64) {
+		p, q := Point{plat, plon}, Point{qlat, qlon}
+		checkWithin(t, NewLatBand(min(plat, qlat, lat), max(plat, qlat, lat)), p, q, d)
+		checkWithin(t, NewLatBand(min(lat, plat), max(lat, plat)), p, q, d)
+		checkWithin(t, NewLatBand(min(plat, qlat), max(plat, qlat)), p, q, withinRadii(Distance(p, q))...)
+	})
 }

@@ -53,8 +53,8 @@ func (g *GeoInd) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
 			u2 = rng.Float64()
 		}
 		r := -(math.Log(u1) + math.Log(u2)) / g.Epsilon
-		theta := rng.Float64() * 2 * math.Pi
-		out.Records[i].Pos = geo.Translate(out.Records[i].Pos, r*math.Cos(theta), r*math.Sin(theta))
+		sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
+		out.Records[i].Pos = geo.Translate(out.Records[i].Pos, r*cos, r*sin)
 	}
 	return out, nil
 }

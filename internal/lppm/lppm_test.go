@@ -2,6 +2,7 @@ package lppm
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -293,5 +294,30 @@ func TestFromSpec(t *testing.T) {
 		if _, err := FromSpec(spec); err == nil {
 			t.Errorf("FromSpec(%q) should fail", spec)
 		}
+	}
+}
+
+// TestSincosMatchesSinAndCos: GeoInd draws its noise angle's sine and
+// cosine with one math.Sincos call, which must give the bits separate
+// math.Sin and math.Cos calls gave, or every geoind release would change.
+// Angles are drawn as GeoInd draws them, over [0, 2π), plus the ends and
+// the multiples of π/4 where the argument reduction switches octant.
+func TestSincosMatchesSinAndCos(t *testing.T) {
+	check := func(theta float64) {
+		sin, cos := math.Sincos(theta)
+		if math.Float64bits(sin) != math.Float64bits(math.Sin(theta)) ||
+			math.Float64bits(cos) != math.Float64bits(math.Cos(theta)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), want (%v, %v)", theta, sin, cos, math.Sin(theta), math.Cos(theta))
+		}
+	}
+	for k := range 9 {
+		x := float64(k) * math.Pi / 4
+		check(x)
+		check(math.Nextafter(x, 0))
+		check(math.Nextafter(x, 7))
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 2_000_000 {
+		check(rng.Float64() * 2 * math.Pi)
 	}
 }

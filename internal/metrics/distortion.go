@@ -1,9 +1,12 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"math/big"
+	"math/bits"
+	"slices"
 
 	"apisense/internal/geo"
 	"apisense/internal/trace"
@@ -13,7 +16,11 @@ import (
 // raw dataset and its protected release: for every protected record, the
 // distance to where the user actually was at that instant.
 type DistortionStats struct {
-	Mean   float64
+	// Mean is the correctly rounded exact sum of the distances over their
+	// number: it does not depend on the order of users or records.
+	Mean float64
+	// Median and P95 are the distances at ranks ceil(q·n)−1 of the
+	// ascending order, and Max the largest.
 	Median float64
 	P95    float64
 	Max    float64
@@ -183,80 +190,213 @@ func (s *distortionScan) add(pt *trace.Trajectory, raw []track) {
 	}
 }
 
-// summarize orders the distances and reads the statistics off them.
+// summarize reads the statistics off the distances in one pass and two
+// selections, ordering none of them. Median and P95 are the values that
+// sort.Float64s would put at ranks ceil(q·n)−1 (NaN ranks first), found by
+// selectKth in place; Max is a running maximum over the values that are not
+// NaN. Mean is the exact sum of the distances, rounded once to float64
+// (half to even), over n: it depends on the set of distances and not on
+// their order, so a scorecard is the same however users or records are
+// ordered. It is NaN if any distance is NaN (or +Inf and −Inf meet), and
+// ±Inf if one sign of infinity is present.
 func summarize(dists []float64) DistortionStats {
-	if len(dists) == 0 {
+	n := len(dists)
+	if n == 0 {
 		return DistortionStats{}
 	}
-	sortDistances(dists)
-	var sum float64
+	var acc exactSum
+	nans, inf := 0, 0.0 // inf sums the infinities: NaN once both signs occur
+	top := math.Inf(-1)
 	for _, d := range dists {
-		sum += d
+		if d > top {
+			top = d
+		}
+		if !acc.add(d) {
+			if d != d {
+				nans++
+			} else {
+				inf += d
+			}
+		}
 	}
-	idx := func(q float64) int {
-		i := int(math.Ceil(q*float64(len(dists)))) - 1
-		if i < 0 {
-			i = 0
+	var sum float64
+	switch {
+	case nans > 0:
+		sum = math.NaN()
+	case inf != 0:
+		sum = inf
+	default:
+		sum = acc.round()
+	}
+	if nans == n {
+		top = math.NaN()
+	}
+	if nans > 0 {
+		// NaNs rank first, as sort.Float64s puts them.
+		w := 0
+		for i, d := range dists {
+			if d != d {
+				dists[i], dists[w] = dists[w], d
+				w++
+			}
 		}
-		if i >= len(dists) {
-			i = len(dists) - 1
+	}
+	// Ranks below done hold their final values: ranks are read in
+	// ascending order, and each selection leaves no smaller value after it.
+	done := nans
+	rank := func(q float64) float64 {
+		k := min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
+		if k >= done {
+			selectKth(dists[done:], k-done)
+			done = k + 1
 		}
-		return i
+		return dists[k]
 	}
 	return DistortionStats{
-		Mean:   sum / float64(len(dists)),
-		Median: dists[idx(0.5)],
-		P95:    dists[idx(0.95)],
-		Max:    dists[len(dists)-1],
-		Points: len(dists),
+		Mean:   sum / float64(n),
+		Median: rank(0.5),
+		P95:    rank(0.95),
+		Max:    top,
+		Points: n,
 	}
 }
 
-// radixMin is the length below which a comparison sort beats eight
-// histogram passes.
-const radixMin = 256
+// selectKth moves into a[k] the value a sorted a holds there, with no
+// larger value before it and no smaller one after; a holds no NaN. It is an
+// introselect: quickselect on a median-of-3 pivot for about 2·log₂n
+// partitions, then a sort of the range left, so no input makes it
+// quadratic.
+func selectKth(a []float64, k int) {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); budget > 0 && hi-lo > 16; budget-- {
+		x, y, z := a[lo], a[int(uint(lo+hi)>>1)], a[hi-1]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = max(x, z)
+		}
+		m := lo + partitionBelow(a[lo:hi], y)
+		if k < m {
+			hi = m
+			continue
+		}
+		if m == lo {
+			// The pivot is the least value: gather its copies at the
+			// front, where a[k] may sit.
+			for r := lo; r < hi; r++ {
+				if a[r] == y {
+					a[r], a[m] = a[m], a[r]
+					m++
+				}
+			}
+			if k < m {
+				return
+			}
+		}
+		lo = m
+	}
+	slices.Sort(a[lo:hi])
+}
 
-// sortDistances sorts ascending, exactly as sort.Float64s orders. Distances
-// are non-negative and then their IEEE-754 bit patterns order as the
-// numbers do, so they are sorted by least-significant-digit radix passes
-// over the bits; a slice holding a NaN or a negative value (a release with
-// a NaN coordinate) is left to sort.Float64s and its NaN-first order.
-func sortDistances(a []float64) {
-	const infBits = 0x7FF0000000000000
-	n := len(a)
-	if n < radixMin {
-		sort.Float64s(a)
-		return
+// partitionBelow moves the values of a below p to its front and returns
+// how many there are. It is Lomuto's partition with the comparison feeding
+// an increment instead of a branch: on distances its outcome is a coin
+// toss no branch predictor learns.
+func partitionBelow(a []float64, p float64) int {
+	w := 0
+	for r, x := range a {
+		a[r], a[w] = a[w], x
+		w += b2i(x < p)
 	}
-	var hist [8][256]int
-	for _, v := range a {
-		b := math.Float64bits(v)
-		if b > infBits {
-			sort.Float64s(a)
-			return
-		}
-		for d := range hist {
-			hist[d][byte(b>>(8*d))]++
-		}
+	return w
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch, where an if around an increment stays a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	src, dst := a, make([]float64, n)
-	for d := range hist {
-		h := &hist[d]
-		if h[byte(math.Float64bits(src[0])>>(8*d))] == n {
-			continue // every value shares this digit
-		}
-		var sum int
-		for i, c := range h {
-			h[i], sum = sum, sum+c
-		}
-		for _, v := range src {
-			digit := byte(math.Float64bits(v) >> (8 * d))
-			dst[h[digit]] = v
-			h[digit]++
-		}
-		src, dst = dst, src
+	return 0
+}
+
+// exactSum adds float64 values without rounding: Neal's small
+// superaccumulator ("Fast exact summation using small and large
+// superaccumulators", arXiv:1505.05571). A finite float64 is an integer
+// m < 2⁵³ times 2^(p−1074) for a bit position p in [0, 2045]; m·2^(p mod
+// 32) is split into three digits below 2³² that are added to chunks p/32,
+// p/32+1 and p/32+2, chunk c weighing 2^(32c−1074). A chunk gains less than
+// 2³² per value, so its int64 cannot overflow before carries are
+// propagated, which happens every 2³⁰ values and before rounding.
+type exactSum struct {
+	chunk [67]int64
+	adds  int
+}
+
+// add adds a finite v exactly and reports true; it ignores a NaN or an
+// infinity and reports false.
+func (a *exactSum) add(v float64) bool {
+	b := math.Float64bits(v)
+	e := int(b>>52) & 0x7FF
+	if e == 0x7FF {
+		return false
 	}
-	if &src[0] != &a[0] {
-		copy(a, src)
+	m, p := b&(1<<52-1), 0
+	if e > 0 {
+		m, p = m|1<<52, e-1
 	}
+	c, s := p>>5, uint(p&31)
+	lo, hi := m<<s, m>>(64-s) // hi is 0 when s is 0
+	d0, d1, d2 := int64(lo&0xFFFFFFFF), int64(lo>>32), int64(hi)
+	if b>>63 != 0 {
+		d0, d1, d2 = -d0, -d1, -d2
+	}
+	a.chunk[c] += d0
+	a.chunk[c+1] += d1
+	a.chunk[c+2] += d2
+	if a.adds++; a.adds == 1<<30 {
+		a.carry()
+		a.adds = 0
+	}
+	return true
+}
+
+// carry leaves every chunk but the top one in [0, 2³²), the top one
+// holding the sign, without changing the sum.
+func (a *exactSum) carry() {
+	for c := range len(a.chunk) - 1 {
+		k := a.chunk[c] >> 32
+		a.chunk[c] -= k << 32
+		a.chunk[c+1] += k
+	}
+}
+
+// round returns the sum rounded to the nearest float64, ties to even
+// (±Inf past the largest finite float64).
+func (a *exactSum) round() float64 {
+	a.carry()
+	neg := a.chunk[len(a.chunk)-1] < 0
+	if neg {
+		for c := range a.chunk {
+			a.chunk[c] = -a.chunk[c]
+		}
+		a.carry()
+	}
+	// Big-endian digits: the top chunk is well below 2⁶³ (it weighs
+	// 2^1038, and no 2⁶³ finite values sum that high).
+	var buf [8 + 4*(len(exactSum{}.chunk)-1)]byte
+	top := len(a.chunk) - 1
+	binary.BigEndian.PutUint64(buf[:8], uint64(a.chunk[top]))
+	for c := range top {
+		binary.BigEndian.PutUint32(buf[len(buf)-4*(c+1):], uint32(a.chunk[c]))
+	}
+	var f big.Float
+	f.SetInt(new(big.Int).SetBytes(buf[:]))
+	f.SetMantExp(&f, -1074)
+	if neg {
+		f.Neg(&f)
+	}
+	r, _ := f.Float64()
+	return r
 }

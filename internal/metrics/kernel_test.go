@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -363,14 +365,14 @@ func TestLongStayAcrossHours(t *testing.T) {
 	}
 }
 
-// TestSortDistancesMatchesSortFloat64s: the radix order is the comparison
-// order on everything a distance can be, and a value it cannot order (NaN,
-// negative) falls back to the comparison sort.
-func TestSortDistancesMatchesSortFloat64s(t *testing.T) {
+// TestSummarizeMatchesSortFloat64s: the ranks selection reads are the ranks
+// sort.Float64s orders, and the mean is the exact one, on everything a
+// distance can be and on what it cannot (NaN, negative, infinite).
+func TestSummarizeMatchesSortFloat64s(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	special := []float64{0, math.SmallestNonzeroFloat64, 1e-310, 1, 1, math.MaxFloat64, math.Inf(1), 250, 250}
-	for _, n := range []int{0, 1, radixMin - 1, radixMin, 1000, 20000} {
-		for _, taint := range []float64{0, math.NaN(), -1, math.Copysign(0, -1)} {
+	for _, n := range []int{0, 1, 2, 17, 255, 256, 1000, 20000} {
+		for _, taint := range []float64{0, math.NaN(), -1, math.Copysign(0, -1), math.Inf(-1)} {
 			a := make([]float64, n)
 			for i := range a {
 				switch rng.Intn(4) {
@@ -388,29 +390,169 @@ func TestSortDistancesMatchesSortFloat64s(t *testing.T) {
 			if n > 0 && (taint != 0 || math.Signbit(taint)) {
 				a[rng.Intn(n)] = taint
 			}
-			want := append([]float64(nil), a...)
-			sort.Float64s(want)
-			sortDistances(a)
+			checkSummarize(t, fmt.Sprintf("n=%d taint=%v", n, taint), a)
+		}
+	}
+}
+
+// checkSummarize holds summarize to refSummarize on a copy of a each.
+func checkSummarize(t *testing.T, name string, a []float64) {
+	t.Helper()
+	want := refSummarize(slices.Clone(a))
+	if got := summarize(slices.Clone(a)); !sameStats(got, want) {
+		t.Errorf("%s: summarize = %+v, want %+v", name, got, want)
+	}
+}
+
+// TestSelectAdversarialInputs feeds selection the orders that make a naive
+// quickselect slow or that break partitioning: sorted, reversed, all equal,
+// few distinct values, organ pipes, a median-of-3 killer, and each with
+// NaNs mixed in. Every rank is checked against sort.Float64s, and the
+// partition invariant around it.
+func TestSelectAdversarialInputs(t *testing.T) {
+	const n = 4099
+	shapes := map[string]func(i int) float64{
+		"sorted":      func(i int) float64 { return float64(i) },
+		"reversed":    func(i int) float64 { return float64(n - i) },
+		"all-equal":   func(int) float64 { return 300 },
+		"two-values":  func(i int) float64 { return float64(i % 2) },
+		"few-values":  func(i int) float64 { return float64(i % 7 * 100) },
+		"organ-pipe":  func(i int) float64 { return float64(min(i, n-1-i)) },
+		"sawtooth":    func(i int) float64 { return float64(i % 64) },
+		"m3-killer":   m3Killer(n),
+		"zeros-signs": func(i int) float64 { return math.Copysign(0, float64(i%2*2-1)) },
+	}
+	for name, shape := range shapes {
+		for _, nanEvery := range []int{0, 3, 1} {
+			a := make([]float64, n)
 			for i := range a {
-				if math.Float64bits(a[i]) != math.Float64bits(want[i]) && !(math.IsNaN(a[i]) && math.IsNaN(want[i])) {
-					t.Fatalf("n=%d taint=%v: element %d = %v, want %v", n, taint, i, a[i], want[i])
+				a[i] = shape(i)
+				if nanEvery > 0 && i%nanEvery == 0 {
+					a[i] = math.NaN()
+				}
+			}
+			label := fmt.Sprintf("%s, NaN every %d", name, nanEvery)
+			checkSummarize(t, label, a)
+			if nanEvery > 0 {
+				continue
+			}
+			want := slices.Clone(a)
+			sort.Float64s(want)
+			for _, k := range []int{0, 1, n / 2, n * 95 / 100, n - 2, n - 1} {
+				b := slices.Clone(a)
+				selectKth(b, k)
+				if b[k] != want[k] {
+					t.Fatalf("%s: selectKth(%d) = %v, want %v", label, k, b[k], want[k])
+				}
+				for i, v := range b {
+					if i < k && v > b[k] || i > k && v < b[k] {
+						t.Fatalf("%s: selectKth(%d) left %v at %d around %v", label, k, v, i, b[k])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestSortDistancesConstant: when every value shares every digit, all
-// passes are skipped and the input stays in place.
-func TestSortDistancesConstant(t *testing.T) {
-	a := make([]float64, 2*radixMin)
-	for i := range a {
-		a[i] = 300
+// m3Killer returns Musser's median-of-3 killer sequence of length n (n
+// even is rounded down), on which a quickselect taking its pivot from the
+// ends and the middle shrinks its range by two per partition.
+func m3Killer(n int) func(int) float64 {
+	k := n / 2
+	a := make([]float64, n)
+	for i := 1; i <= k; i++ {
+		if i%2 == 1 {
+			a[i-1] = float64(i)
+			a[i] = float64(k + i)
+		}
+		a[k+i-1] = float64(2 * i)
 	}
-	sortDistances(a)
-	for _, v := range a {
-		if v != 300 {
-			t.Fatalf("constant slice changed: %v", v)
+	return func(i int) float64 { return a[i] }
+}
+
+// TestExactSumMatchesBig: the superaccumulator rounds as math/big does,
+// across the whole exponent range, both signs, cancellation to tiny or zero
+// totals, subnormals, totals past the largest float64, and enough values
+// to trigger its periodic carry.
+func TestExactSumMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	anyFinite := func() float64 {
+		for {
+			if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+				return v
+			}
+		}
+	}
+	cases := map[string][]float64{
+		"empty":      nil,
+		"zeros":      {0, math.Copysign(0, -1)},
+		"one-ulp":    {1, 0x1p-52, 0x1p-53, 0x1p-53},
+		"tie-even":   {1, 0x1p-53},
+		"tie-odd":    {1 + 0x1p-52, 0x1p-53},
+		"cancel":     {1e308, 1, -1e308, 0x1p-1074},
+		"subnormal":  {math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64, -0x1p-1060},
+		"overflow":   {math.MaxFloat64, math.MaxFloat64, -1},
+		"underflow":  {-math.MaxFloat64, -math.MaxFloat64},
+		"near-max":   {math.MaxFloat64, 0x1p970, -0x1p969},
+		"cancel-all": {0.1, 0.2, -0.3, 0.3, -0.2, -0.1},
+	}
+	for i := range 50 {
+		vals := make([]float64, 1+rng.Intn(300))
+		for j := range vals {
+			switch i % 3 {
+			case 0:
+				vals[j] = anyFinite()
+			case 1:
+				vals[j] = math.Ldexp(rng.Float64()-0.5, rng.Intn(80)-40)
+			default:
+				vals[j] = rng.ExpFloat64() * 500
+			}
+		}
+		cases[fmt.Sprintf("random-%d", i)] = vals
+	}
+	for name, vals := range cases {
+		var acc exactSum
+		for _, v := range vals {
+			acc.add(v)
+		}
+		if got, want := acc.round(), refExactSum(vals); got != want {
+			t.Errorf("%s: exact sum = %v, want %v", name, got, want)
+		}
+	}
+	var acc exactSum
+	acc.adds = 1<<30 - 3 // the next carry is three values away
+	for range 10 {
+		acc.add(math.MaxFloat64)
+		acc.add(-math.MaxFloat64)
+		acc.add(0x1p-1074)
+	}
+	if got := acc.round(); got != 10*0x1p-1074 {
+		t.Errorf("sum across a periodic carry = %v, want %v", got, 10*0x1p-1074)
+	}
+}
+
+// TestScoreIndependentOfOrder: a release whose trajectories come in another
+// order scores bit for bit the same, the mean distortion included, on
+// every strategy of the default portfolio.
+func TestScoreIndependentOfOrder(t *testing.T) {
+	raw, city, g, cut := analysisSetup(t, mobgen.Config{Seed: 5, Users: 8, Days: 3})
+	view := NewRawView(raw, g, 20, cut)
+	rng := rand.New(rand.NewSource(11))
+	for _, m := range defaultPortfolio(t, city.Center) {
+		prot, err := lppm.ProtectDataset(m, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := view.Score(prot)
+		for range 3 {
+			shuffled := &trace.Dataset{Trajectories: slices.Clone(prot.Trajectories)}
+			rng.Shuffle(len(shuffled.Trajectories), func(i, j int) {
+				shuffled.Trajectories[i], shuffled.Trajectories[j] = shuffled.Trajectories[j], shuffled.Trajectories[i]
+			})
+			got := view.Score(shuffled)
+			if !sameScore(got, want) || math.Float64bits(got.Distortion.Mean) != math.Float64bits(want.Distortion.Mean) {
+				t.Errorf("%s: shuffled release scores %+v, want %+v", m.Name(), got, want)
+			}
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package metrics
 
 // The scorers as they stood before the scoring kernel replaced them, bodies
-// unchanged (only renamed with a ref prefix): the oracles the differential
-// tests in kernel_test.go hold the kernel to. They exist nowhere outside
-// this file.
+// unchanged (only renamed with a ref prefix) but for refSummarize's mean:
+// the oracles the differential tests in kernel_test.go hold the kernel to.
+// They exist nowhere outside this file.
 
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 	"time"
 
@@ -278,15 +279,15 @@ func refPositionAt(trajs []*trace.Trajectory, ts time.Time) (geo.Point, bool) {
 	return geo.Point{}, false
 }
 
+// refSummarize sorts and reads the ranks off the sorted distances. Its mean
+// is the one part that is not the old body: the ascending float64 sum
+// became the exact sum of math/big, rounded once, with NaN and the
+// infinities summing as IEEE-754 adds them.
 func refSummarize(dists []float64) DistortionStats {
 	if len(dists) == 0 {
 		return DistortionStats{}
 	}
 	sort.Float64s(dists)
-	var sum float64
-	for _, d := range dists {
-		sum += d
-	}
 	idx := func(q float64) int {
 		i := int(math.Ceil(q*float64(len(dists)))) - 1
 		if i < 0 {
@@ -298,10 +299,34 @@ func refSummarize(dists []float64) DistortionStats {
 		return i
 	}
 	return DistortionStats{
-		Mean:   sum / float64(len(dists)),
+		Mean:   refExactSum(dists) / float64(len(dists)),
 		Median: dists[idx(0.5)],
 		P95:    dists[idx(0.95)],
 		Max:    dists[len(dists)-1],
 		Points: len(dists),
 	}
+}
+
+// refExactSum adds the values in math/big at a precision that holds any
+// sum of float64 values exactly, and rounds the total to the nearest
+// float64, ties to even.
+func refExactSum(vals []float64) float64 {
+	var inf float64
+	for _, v := range vals {
+		switch {
+		case math.IsNaN(v):
+			return math.NaN()
+		case math.IsInf(v, 0):
+			inf += v // +Inf and -Inf make NaN
+		}
+	}
+	if inf != 0 {
+		return inf
+	}
+	sum := new(big.Float).SetPrec(4096)
+	for _, v := range vals {
+		sum.Add(sum, big.NewFloat(v))
+	}
+	f, _ := sum.Float64()
+	return f
 }

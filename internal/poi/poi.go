@@ -12,10 +12,17 @@
 //
 // Both return POI values carrying a centroid, a dwell time and the number of
 // supporting fixes.
+//
+// Stay-point detection is the attack PRIVAPI simulates on every candidate
+// strategy, so its loop is kept cheap: anchor-to-fix tests go through one
+// geo.LatBand per trajectory, which settles nearly all of them without the
+// cosine geo.Distance takes and always as geo.Distance would, and a stay's
+// centroid is summed off the records with no slice built for it.
 package poi
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"apisense/internal/geo"
@@ -88,24 +95,32 @@ func NewStayPoints(cfg StayPointConfig) (*StayPoints, error) {
 	return &StayPoints{cfg: cfg.withDefaults()}, nil
 }
 
-// Extract implements Extractor.
+// Extract implements Extractor. A stay's centroid is summed in record
+// order, as geo.Centroid sums it.
 func (s *StayPoints) Extract(t *trace.Trajectory) []POI {
 	recs := t.Records
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, r := range recs {
+		lo, hi = min(lo, r.Pos.Lat), max(hi, r.Pos.Lat)
+	}
+	band := geo.NewLatBand(lo, hi)
 	var out []POI
 	i := 0
 	for i < len(recs) {
 		j := i + 1
-		for j < len(recs) && geo.Distance(recs[i].Pos, recs[j].Pos) <= s.cfg.MaxDistance {
+		for j < len(recs) && band.Within(recs[i].Pos, recs[j].Pos, s.cfg.MaxDistance) {
 			j++
 		}
 		// recs[i:j] stay within MaxDistance of the anchor.
 		if dwell := recs[j-1].Time.Sub(recs[i].Time); dwell >= s.cfg.MinDuration {
-			pts := make([]geo.Point, 0, j-i)
+			var lat, lon float64
 			for _, r := range recs[i:j] {
-				pts = append(pts, r.Pos)
+				lat += r.Pos.Lat
+				lon += r.Pos.Lon
 			}
+			n := float64(j - i)
 			out = append(out, POI{
-				Center: geo.Centroid(pts),
+				Center: geo.Point{Lat: lat / n, Lon: lon / n},
 				Enter:  recs[i].Time,
 				Leave:  recs[j-1].Time,
 				Fixes:  j - i,

@@ -44,7 +44,10 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 // ReadCSV parses a dataset from the canonical CSV layout. Consecutive rows
 // with the same user form one trajectory; a change of user starts a new one,
 // so a round trip through WriteCSV/ReadCSV preserves trajectory boundaries
-// for datasets whose users' trajectories are stored contiguously.
+// for datasets whose users' trajectories are stored contiguously. A row
+// whose position is not a WGS84 coordinate (geo.Point.Valid: a NaN, a
+// latitude past ±90° or a longitude past ±180°) is an error, as a bad
+// timestamp is.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 5
@@ -79,13 +82,17 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: csv line %d: bad accuracy %q: %w", line, rec[4], err)
 		}
+		pos := geoPoint(lat, lon)
+		if !pos.Valid() {
+			return nil, fmt.Errorf("trace: csv line %d: invalid position (lat %s, lon %s)", line, rec[2], rec[3])
+		}
 		if cur == nil || cur.User != rec[0] {
 			cur = &Trajectory{User: rec[0]}
 			d.Add(cur)
 		}
 		cur.Records = append(cur.Records, Record{
 			Time:     ts,
-			Pos:      geoPoint(lat, lon),
+			Pos:      pos,
 			Accuracy: acc,
 		})
 	}
