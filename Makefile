@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/script/
 	$(GO) test -run '^$$' -fuzz '^FuzzStayPointsMatchReference$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/poi/
 	$(GO) test -run '^$$' -fuzz '^FuzzWithinMatchesDistance$$' -fuzztime=10s ./internal/geo/
+	$(GO) test -run '^$$' -fuzz '^FuzzMechanismAppend$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/lppm/
 
 fmt:
 	gofmt -w .

@@ -112,8 +112,10 @@ func NewPOIRecovery(e POIExtractor, mergeRadius, matchRadius float64) (*attack.P
 
 // ---- protection mechanisms ----
 
-// Mechanism transforms a trajectory into its protected counterpart.
-// Implementations must not mutate the input and must be safe for
+// Mechanism transforms a trajectory into its protected counterpart,
+// appending the protected records to a caller's buffer (see
+// lppm.Mechanism). Implementations must not mutate the input, must not
+// retain the buffer, and must be safe for
 // concurrent Protect calls: Protect and the PRIVAPI evaluation engine run
 // mechanisms on multiple goroutines. All built-in mechanisms are immutable
 // after construction; custom ones holding mutable state (e.g. a shared

@@ -537,7 +537,7 @@ func BenchmarkMechanismSmoothing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Protect(tr); err != nil {
+		if _, err := m.Protect(nil, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -553,7 +553,7 @@ func BenchmarkMechanismGeoInd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Protect(tr); err != nil {
+		if _, err := m.Protect(nil, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -634,7 +634,7 @@ func BenchmarkSmoothingEpsilonAblation(b *testing.B) {
 		}
 		b.Run(m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Protect(tr); err != nil {
+				if _, err := m.Protect(nil, tr); err != nil {
 					b.Fatal(err)
 				}
 			}

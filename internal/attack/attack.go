@@ -37,6 +37,17 @@ type RecoveryResult struct {
 	Matched int
 }
 
+// Add returns the counts of r and o summed: the result over two disjoint
+// sets of users.
+func (r RecoveryResult) Add(o RecoveryResult) RecoveryResult {
+	return RecoveryResult{
+		TruePOIs:      r.TruePOIs + o.TruePOIs,
+		ExtractedPOIs: r.ExtractedPOIs + o.ExtractedPOIs,
+		Recovered:     r.Recovered + o.Recovered,
+		Matched:       r.Matched + o.Matched,
+	}
+}
+
 // Recall returns the fraction of true POIs recovered — the paper's
 // "re-identify at least 60% of the points of interest" figure.
 func (r RecoveryResult) Recall() float64 {
@@ -105,23 +116,31 @@ func (a *POIRecovery) Run(truth map[string][]geo.Point, release *trace.Dataset) 
 	extracted := poi.ExtractAll(a.Extractor, release)
 	var res RecoveryResult
 	for user, truePOIs := range truth {
-		places := poi.Merge(extracted[user], a.MergeRadius)
-		res.TruePOIs += len(truePOIs)
-		res.ExtractedPOIs += len(places)
-		for _, tp := range truePOIs {
-			for _, p := range places {
-				if geo.Distance(p.Center, tp) <= a.MatchRadius {
-					res.Recovered++
-					break
-				}
+		res = res.Add(a.Match(truePOIs, extracted[user]))
+	}
+	return res
+}
+
+// Match is the attack on one user: it merges the stays the attacker
+// extracted from the user's released trajectories, in release order, into
+// places and matches them against the user's true POIs. Run sums it over
+// the users with true POIs.
+func (a *POIRecovery) Match(truth []geo.Point, stays []poi.POI) RecoveryResult {
+	places := poi.Merge(stays, a.MergeRadius)
+	res := RecoveryResult{TruePOIs: len(truth), ExtractedPOIs: len(places)}
+	for _, tp := range truth {
+		for _, p := range places {
+			if geo.Distance(p.Center, tp) <= a.MatchRadius {
+				res.Recovered++
+				break
 			}
 		}
-		for _, p := range places {
-			for _, tp := range truePOIs {
-				if geo.Distance(p.Center, tp) <= a.MatchRadius {
-					res.Matched++
-					break
-				}
+	}
+	for _, p := range places {
+		for _, tp := range truth {
+			if geo.Distance(p.Center, tp) <= a.MatchRadius {
+				res.Matched++
+				break
 			}
 		}
 	}

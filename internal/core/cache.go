@@ -7,6 +7,7 @@ import (
 
 	"apisense/internal/evalcache"
 	"apisense/internal/geo"
+	"apisense/internal/lppm"
 	"apisense/internal/poi"
 	"apisense/internal/trace"
 )
@@ -52,7 +53,7 @@ func (m *Middleware) fingerprint() fingerprints {
 		c.POIConfig.MaxDistance, int64(c.POIConfig.MinDuration), c.AttackRadius,
 	}
 	for _, s := range m.strategies {
-		fields = append(fields, s.Name())
+		fields = append(fields, lppm.Spec(s))
 	}
 	return fingerprints{selection: hashFields(fields...), refPOI: refPOI, attack: atk}
 }

@@ -209,7 +209,9 @@ func TestWarmPublishSkipsProtection(t *testing.T) {
 
 // TestConfigChangeInvalidates: a middleware with a different evaluation
 // configuration sharing the same cache must not be served the other's
-// entries.
+// entries — a different TopK, or a strategy whose name is the same but
+// whose seed or cloaking origin is not — while a middleware with an
+// identical configuration is.
 func TestConfigChangeInvalidates(t *testing.T) {
 	ds := fixture(t)
 	cache := evalcache.NewLRU(0)
@@ -236,6 +238,52 @@ func TestConfigChangeInvalidates(t *testing.T) {
 	m2.mustPublish(t, ds)
 	if c2.calls.Load() == 0 {
 		t.Error("changed config was served the old config's cached selection")
+	}
+	m3, c3 := build(20)
+	m3.mustPublish(t, ds)
+	if got := c3.calls.Load(); got != 0 {
+		t.Errorf("an identical config protected %d trajectories, want a warm hit", got)
+	}
+
+	geoind := func(seed uint64) lppm.Mechanism {
+		m, err := lppm.NewGeoInd(0.002, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cloaking := func(origin geo.Point) lppm.Mechanism {
+		m, err := lppm.NewCloaking(800, origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// publish returns the release and report of a one-strategy portfolio,
+	// whether or not the strategy meets the floor.
+	publish := func(s lppm.Mechanism, cache evalcache.Cache) string {
+		m, err := New(Config{Strategies: []lppm.Mechanism{s}, Parallelism: 2, Cache: cache}, lyon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, sel, err := m.PublishContext(context.Background(), ds)
+		if err != nil && !errors.Is(err, ErrNoStrategy) {
+			t.Fatal(err)
+		}
+		return marshal(t, rel) + marshal(t, sel)
+	}
+	for name, pair := range map[string][2]lppm.Mechanism{
+		"seed":   {geoind(1), geoind(2)},
+		"origin": {cloaking(lyon), cloaking(geo.Point{Lat: lyon.Lat + 0.003, Lon: lyon.Lon + 0.003})},
+	} {
+		if pair[0].Name() != pair[1].Name() {
+			t.Fatalf("%s: the names differ, the case tests nothing", name)
+		}
+		shared := evalcache.NewLRU(0)
+		publish(pair[0], shared)
+		if publish(pair[1], shared) != publish(pair[1], nil) {
+			t.Errorf("%s: a middleware was served another's cached selection", name)
+		}
 	}
 }
 

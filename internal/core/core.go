@@ -31,22 +31,24 @@
 //     visited cells of the analysis grid; the raw top-k crowded cells; and
 //     the traffic baseline (the held-out last day's counts and the error
 //     of the forecaster trained on the days before it);
-//   - each strategy then costs one protection, one POI-recovery attack and
-//     one scan of its protected dataset (RawView.Score): every record is
-//     binned once on the grid for coverage, crowded places and traffic, and
-//     located once on its user's raw trajectories for the distortion;
+//   - each strategy then costs one pass over the users: every trajectory is
+//     protected into a worker's reused buffer and, while it is there,
+//     scored (metrics.Scorer: every record binned once on the grid for
+//     coverage, crowded places and traffic, and located once on its user's
+//     raw trajectories for the distortion) and, for users with reference
+//     POIs, mined for stays by the attacker; the core.attack span then
+//     merges each user's stays into places and matches them;
 //   - the strategy portfolio is fanned out over a bounded worker pool of
-//     Config.Parallelism goroutines (default one per CPU), each strategy
-//     additionally parallelising its dataset protection across
-//     trajectories; results are fanned back in preserving portfolio order,
-//     and every mechanism derives randomness from the trajectory identity,
-//     so reports are byte-identical for any parallelism;
-//   - Publish releases the winner's evaluated output instead of
-//     protecting the dataset a second time; only the best floor-meeting
-//     protected dataset seen so far is retained (losers are dropped as
-//     outcomes arrive, and Evaluate keeps none), so peak memory is one
-//     retained copy plus one in-flight copy per strategy worker rather
-//     than the whole portfolio at once;
+//     Config.Parallelism goroutines (default one per CPU); a strategy given
+//     more than one worker splits its users into contiguous ranges whose
+//     partial scores merge exactly; results are fanned back in preserving
+//     portfolio order, and every mechanism derives randomness from the
+//     trajectory identity, so reports are byte-identical for any
+//     parallelism;
+//   - memory is one trajectory in flight per worker, plus the winner,
+//     which is protected again once every strategy is scored to build the
+//     release (Evaluate protects nothing a second time); no protected
+//     dataset is built while scoring;
 //   - PublishContext and EvaluateContext accept a context.Context and
 //     abandon the run promptly when it is cancelled; Publish and Evaluate
 //     are background-context wrappers kept for convenience.
@@ -67,6 +69,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"apisense/internal/attack"
 	"apisense/internal/evalcache"
@@ -272,6 +275,9 @@ type Middleware struct {
 	// see cache.go.
 	cache evalcache.Cache
 	fp    fingerprints
+	// scratch pools the per-worker buffers of the strategy passes (see
+	// scratch in engine.go), reused across strategies, shards and runs.
+	scratch sync.Pool
 }
 
 // New creates a middleware instance. If cfg.Strategies is nil the default

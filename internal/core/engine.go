@@ -3,14 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
+	"apisense/internal/attack"
 	"apisense/internal/geo"
 	"apisense/internal/lppm"
 	"apisense/internal/metrics"
 	"apisense/internal/otrace"
 	"apisense/internal/par"
+	"apisense/internal/poi"
 	"apisense/internal/trace"
 )
 
@@ -21,11 +22,21 @@ import (
 // live on the Middleware itself (they depend only on configuration, see
 // New), so a run only derives the dataset-dependent state here.
 type evalContext struct {
-	raw   *trace.Dataset
-	truth map[string][]geo.Point
+	raw *trace.Dataset
+	// users is raw user by user, in first-appearance order: the order in
+	// which each strategy's pass protects, scores and attacks it.
+	users []runUser
 	// view is the raw half of every utility score (see metrics.RawView);
-	// each strategy scores its protected dataset against it in one pass.
+	// each strategy feeds its protected trajectories to a Scorer over it.
 	view *metrics.RawView
+}
+
+// runUser is one user of a run: their raw trajectories in dataset order
+// and their reference POIs, which the simulated attack tries to recover
+// (none for a user whose raw data shows no stay; the attack skips them).
+type runUser struct {
+	trajectories []*trace.Trajectory
+	truth        []geo.Point
 }
 
 // newEvalContext derives the shared analysis state from the raw dataset
@@ -51,9 +62,26 @@ func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset, has
 	}
 	return &evalContext{
 		raw:   raw,
-		truth: truth,
+		users: runUsers(raw, truth),
 		view:  metrics.NewRawView(raw, grid, m.cfg.TopK, lastDay(raw)),
 	}, nil
+}
+
+// runUsers groups raw's trajectories by user, users in first-appearance
+// order, and attaches each user's reference POIs.
+func runUsers(raw *trace.Dataset, truth map[string][]geo.Point) []runUser {
+	idx := make(map[string]int)
+	var users []runUser
+	for _, t := range raw.Trajectories {
+		i, ok := idx[t.User]
+		if !ok {
+			i = len(users)
+			idx[t.User] = i
+			users = append(users, runUser{truth: truth[t.User]})
+		}
+		users[i].trajectories = append(users[i].trajectories, t)
+	}
+	return users
 }
 
 // lastDay is the train/test cut of the traffic-utility score: the UTC
@@ -65,52 +93,91 @@ func lastDay(raw *trace.Dataset) time.Time {
 	return time.Date(endEve.Year(), endEve.Month(), endEve.Day(), 0, 0, 0, 0, time.UTC)
 }
 
-// winner tracks the best floor-meeting outcome seen so far, retaining only
-// that outcome's protected dataset: Publish releases the winner without
-// running its mechanism a second time, while the losers' datasets are
-// dropped as soon as a better candidate arrives, bounding peak memory at
-// one retained copy plus the in-flight copy each strategy worker holds
-// while evaluating. The replacement rule —
-// strictly higher utility, or equal utility at a lower portfolio index —
-// selects the same strategy as an in-order scan regardless of the order in
-// which concurrent workers deliver outcomes.
-type winner struct {
-	mu   sync.Mutex
-	idx  int // portfolio index, -1 when no strategy meets the floor
-	util float64
-	prot *trace.Dataset
+// scratch is what one worker of a strategy's pass reuses from one
+// strategy to the next (see Middleware.scratch): the protected records of
+// the trajectory in flight and the header that views them as a
+// trajectory, the utility Scorer, and the stays the attacker extracted,
+// user by user. It holds about one trajectory plus the distortion
+// distances of the users it scored, and nothing in it outlives the
+// strategy: no release, cache entry or report refers into it.
+type scratch struct {
+	recs     []trace.Record
+	tr       trace.Trajectory
+	scorer   *metrics.Scorer
+	stays    []poi.POI
+	attacked []attackedUser
+	released int
 }
 
-func (w *winner) offer(i int, ev Evaluation, prot *trace.Dataset) {
-	if !ev.MeetsFloor {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.idx < 0 || ev.Utility > w.util || (ev.Utility == w.util && i < w.idx) {
-		w.idx, w.util, w.prot = i, ev.Utility, prot
-	}
+// attackedUser is one user with reference POIs and the stays extracted
+// from their protected trajectories, stays[from:to] of the scratch.
+type attackedUser struct {
+	truth    []geo.Point
+	from, to int
 }
 
-// evaluateStrategy scores one strategy against the shared context,
-// protecting the dataset on up to parallelism trajectory workers.
-func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lppm.Mechanism, parallelism int) (ev Evaluation, prot *trace.Dataset, err error) {
+func (m *Middleware) getScratch(v *metrics.RawView) *scratch {
+	sc, _ := m.scratch.Get().(*scratch)
+	if sc == nil {
+		return &scratch{scorer: metrics.NewScorer(v)}
+	}
+	sc.scorer.Reset(v)
+	return sc
+}
+
+// putScratch empties sc, keeping its room but no reference into the run,
+// and returns it to the pool.
+func (m *Middleware) putScratch(sc *scratch) {
+	sc.scorer.Reset(nil)
+	clear(sc.attacked)
+	sc.tr = trace.Trajectory{}
+	sc.stays, sc.attacked, sc.released = sc.stays[:0], sc.attacked[:0], 0
+	m.scratch.Put(sc)
+}
+
+// evaluateStrategy scores one strategy against the shared context in one
+// pass over the run's users: each trajectory is protected into a worker's
+// reused buffer and, while it is there, fed to the utility Scorer and —
+// for users with reference POIs — to the attacker's stay-point extractor;
+// then the buffer takes the next trajectory. No protected dataset is ever
+// built. With parallelism P > 1 the users are split into P contiguous
+// ranges scored concurrently, whose partial scores merge in range order
+// (users are disjoint, so the merge is exact). The core.attack span then
+// merges each user's stays into places and matches them.
+func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lppm.Mechanism, parallelism int) (ev Evaluation, err error) {
 	t0 := m.cfg.Metrics.start()
 	defer m.cfg.Metrics.observeStrategy(t0)
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.strategy", otrace.String("strategy", s.Name()))
 	defer func() { endSpan(sp, err) }()
-	prot, err = lppm.ProtectDatasetContext(ctx, s, ec.raw, parallelism)
+	users := len(ec.users)
+	parts := make([]*scratch, max(1, min(parallelism, users)))
+	defer func() {
+		for _, p := range parts {
+			if p != nil {
+				m.putScratch(p)
+			}
+		}
+	}()
+	err = par.For(ctx, len(parts), len(parts), func(ctx context.Context, r int) error {
+		parts[r] = m.getScratch(ec.view)
+		return m.passUsers(ctx, ec, s, r*users/len(parts), (r+1)*users/len(parts), parts[r])
+	})
 	if err != nil {
-		return Evaluation{}, nil, fmt.Errorf("core: strategy %s: %w", s.Name(), err)
+		return Evaluation{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return Evaluation{}, nil, err
+	whole := parts[0]
+	for _, p := range parts[1:] {
+		whole.scorer.Merge(p.scorer)
+		whole.released += p.released
 	}
-	score := ec.view.Score(prot)
-	// The attack's own span makes the attacker-extraction cache's savings
-	// visible on the timeline.
+	score := whole.scorer.Score()
 	_, asp := m.cfg.Tracer.Start(ctx, "core.attack")
-	privacy := m.recovery.Run(ec.truth, prot)
+	var privacy attack.RecoveryResult
+	for _, p := range parts {
+		for _, u := range p.attacked {
+			privacy = privacy.Add(m.recovery.Match(u.truth, p.stays[u.from:u.to]))
+		}
+	}
 	asp.End()
 	ev = Evaluation{
 		Strategy:       s.Name(),
@@ -120,7 +187,7 @@ func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lp
 		TrafficUtility: score.TrafficUtility,
 		Distortion:     score.Distortion,
 		Coverage:       score.Coverage,
-		Released:       prot.Len(),
+		Released:       whole.released,
 	}
 	switch m.cfg.Objective {
 	case ObjectiveTraffic:
@@ -130,22 +197,52 @@ func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lp
 	default:
 		ev.Utility = ev.HotspotOverlap
 	}
-	return ev, prot, nil
+	return ev, nil
+}
+
+// passUsers is one worker's share of a strategy's pass: users [lo, hi) of
+// the run, user numbers k+1 for the Scorer, into sc. The context is
+// checked once per user.
+func (m *Middleware) passUsers(ctx context.Context, ec *evalContext, s lppm.Mechanism, lo, hi int, sc *scratch) error {
+	for k := lo; k < hi; k++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		u := &ec.users[k]
+		from := len(sc.stays)
+		for _, t := range u.trajectories {
+			recs, err := s.Protect(sc.recs[:0], t)
+			if err != nil {
+				return fmt.Errorf("core: strategy %s: %w", s.Name(), err)
+			}
+			sc.recs = recs
+			if len(recs) == 0 {
+				continue // suppressed
+			}
+			sc.released++
+			sc.tr = trace.Trajectory{User: t.User, Records: recs}
+			sc.scorer.Add(&sc.tr, int32(k+1))
+			if len(u.truth) > 0 {
+				sc.stays = append(sc.stays, m.recovery.Extractor.Extract(&sc.tr)...)
+			}
+		}
+		if len(u.truth) > 0 {
+			sc.attacked = append(sc.attacked, attackedUser{truth: u.truth, from: from, to: len(sc.stays)})
+		}
+	}
+	return nil
 }
 
 // evaluateAll fans the portfolio out over the worker pool and fans the
 // scorecards back in, preserving portfolio order. The budget (a worker
 // count; sharded publication hands each shard a slice of the global
 // Config.Parallelism) is split between strategy workers and per-strategy
-// trajectory workers: with P workers and S strategies, min(P, S) strategies
-// run concurrently and each protects trajectories on P/min(P,S) workers
-// (budget 1 stays fully sequential; a single-strategy portfolio gives the
-// whole budget to trajectory workers).
-//
-// When track is non-nil every outcome is offered to it, retaining the best
-// floor-meeting protected dataset for Publish; a nil track (Evaluate)
-// keeps no protected data at all.
-func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hashes [][trace.HashSize]byte, track *winner, budget int) ([]Evaluation, error) {
+// user ranges: with P workers and S strategies, min(P, S) strategies run
+// concurrently and each splits its users into P/min(P,S) ranges (budget 1
+// stays fully sequential; a single-strategy portfolio gives the whole
+// budget to one strategy's ranges). No protected data outlives its
+// strategy's pass.
+func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hashes [][trace.HashSize]byte, budget int) ([]Evaluation, error) {
 	ec, err := m.newEvalContext(ctx, raw, hashes)
 	if err != nil {
 		return nil, err
@@ -161,12 +258,9 @@ func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hashes
 	inner := budget / workers // workers >= 1: New requires a non-empty portfolio
 	evals := make([]Evaluation, n)
 	err = par.For(ctx, n, workers, func(ctx context.Context, i int) error {
-		ev, prot, err := m.evaluateStrategy(ctx, ec, m.strategies[i], inner)
+		ev, err := m.evaluateStrategy(ctx, ec, m.strategies[i], inner)
 		if err != nil {
 			return err
-		}
-		if track != nil {
-			track.offer(i, ev, prot)
 		}
 		evals[i] = ev
 		return nil
@@ -175,6 +269,18 @@ func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hashes
 		return nil, err
 	}
 	return evals, nil
+}
+
+// bestStrategy returns the portfolio index of the first floor-meeting
+// scorecard of maximum utility, or -1 when none meets the floor.
+func bestStrategy(evals []Evaluation) int {
+	best := -1
+	for i, ev := range evals {
+		if ev.MeetsFloor && (best < 0 || ev.Utility > evals[best].Utility) {
+			best = i
+		}
+	}
+	return best
 }
 
 // EvaluateContext scores every candidate strategy against the raw dataset
@@ -188,7 +294,7 @@ func (m *Middleware) EvaluateContext(ctx context.Context, raw *trace.Dataset) (e
 	defer func() { endSpan(sp, err) }()
 	// No selection caching: Evaluate is a pure scorecard. It still benefits
 	// from the reference-POI and attacker-extraction memoization.
-	return m.evaluateAll(ctx, raw, m.hashContent(raw).trajectories, nil, m.cfg.Parallelism)
+	return m.evaluateAll(ctx, raw, m.hashContent(raw).trajectories, m.cfg.Parallelism)
 }
 
 // Evaluate scores every candidate strategy against the raw dataset. It is
@@ -199,14 +305,16 @@ func (m *Middleware) Evaluate(raw *trace.Dataset) ([]Evaluation, error) {
 }
 
 // selectStrategies is the cached selection step shared by PublishContext
-// and publishShard: evaluate the portfolio with winner tracking, or serve
-// the whole result (scorecard, winner index, pre-pseudonymisation protected
-// dataset) from the evaluation cache when the dataset content and the
-// configuration fingerprint match a prior run. A hit is the scorecard a
-// cache-less run reports; a miss scores every strategy in full, so warm
-// and cold results are byte-identical on any input. raw's trajectories are hashed once here; every cache key of the run is
-// derived from those hashes. With a cache the result is shared with it and
-// must reach the caller only through handOut and scorecard.
+// and publishShard: score the portfolio, pick the winner and protect raw
+// with it a second time to build the release — the scoring passes keep no
+// protected data — or serve the whole result (scorecard, winner index,
+// pre-pseudonymisation protected dataset) from the evaluation cache when
+// the dataset content and the configuration fingerprint match a prior run.
+// A hit is the scorecard a cache-less run reports; a miss scores every
+// strategy in full, so warm and cold results are byte-identical on any
+// input. raw's trajectories are hashed once here; every cache key of the
+// run is derived from those hashes. With a cache the result is shared with
+// it and must reach the caller only through handOut and scorecard.
 func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, budget int) (_ *cachedSelection, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -221,12 +329,17 @@ func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, b
 	if m.cache != nil {
 		sp.SetAttr(otrace.Bool("cache_hit", false))
 	}
-	track := &winner{idx: -1}
-	evals, err := m.evaluateAll(ctx, raw, hs.trajectories, track, budget)
+	evals, err := m.evaluateAll(ctx, raw, hs.trajectories, budget)
 	if err != nil {
 		return nil, err
 	}
-	cs := &cachedSelection{evals: evals, winIdx: track.idx, prot: track.prot}
+	cs := &cachedSelection{evals: evals, winIdx: bestStrategy(evals)}
+	if cs.winIdx >= 0 {
+		win := m.strategies[cs.winIdx]
+		if cs.prot, err = lppm.ProtectDatasetContext(ctx, win, raw, budget); err != nil {
+			return nil, fmt.Errorf("core: strategy %s: %w", win.Name(), err)
+		}
+	}
 	m.storeSelection(hs.dataset, cs)
 	return cs, nil
 }
@@ -262,8 +375,8 @@ func (m *Middleware) scorecard(evals []Evaluation) []Evaluation {
 // PublishContext evaluates the portfolio, selects the best strategy meeting
 // the privacy floor, and returns the protected (and, when a pseudonym key
 // is configured, pseudonymised) dataset together with the full selection
-// report. The winner's dataset is the one produced during evaluation — the
-// mechanism is not run a second time. When no strategy meets the floor, it
+// report. Scoring keeps no protected data, so the winner protects raw a
+// second time to build the release. When no strategy meets the floor, it
 // returns ErrNoStrategy and a selection whose Chosen field is empty. The
 // run is abandoned promptly when ctx is cancelled.
 func (m *Middleware) PublishContext(ctx context.Context, raw *trace.Dataset) (_ *trace.Dataset, _ *Selection, err error) {

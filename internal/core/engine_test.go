@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"apisense/internal/evalcache"
 	"apisense/internal/lppm"
 	"apisense/internal/trace"
 )
@@ -105,7 +106,7 @@ func TestEvaluateContextDeadline(t *testing.T) {
 }
 
 // countingMechanism wraps a mechanism and counts Protect calls; used to
-// prove Publish releases the evaluated dataset instead of protecting twice.
+// assert how often the engine runs a mechanism.
 type countingMechanism struct {
 	inner lppm.Mechanism
 	calls atomic.Int64
@@ -113,34 +114,145 @@ type countingMechanism struct {
 
 func (c *countingMechanism) Name() string { return c.inner.Name() }
 
-func (c *countingMechanism) Protect(tr *trace.Trajectory) (*trace.Trajectory, error) {
+func (c *countingMechanism) Protect(dst []trace.Record, tr *trace.Trajectory) ([]trace.Record, error) {
 	c.calls.Add(1)
-	return c.inner.Protect(tr)
+	return c.inner.Protect(dst, tr)
 }
 
-// TestPublishReusesEvaluatedWinner: the winner's mechanism must run exactly
-// once per trajectory across the whole Publish (no second ProtectDataset).
-func TestPublishReusesEvaluatedWinner(t *testing.T) {
+// countedPortfolio is smoothing(eps=100) and geoind(eps=0.01), each behind
+// a counter.
+func countedPortfolio(t *testing.T) (*countingMechanism, *countingMechanism) {
+	t.Helper()
+	sm, err := lppm.NewSpeedSmoothing(100, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gi, err := lppm.NewGeoInd(0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &countingMechanism{inner: sm}, &countingMechanism{inner: gi}
+}
+
+// TestEvaluateProtectsEachTrajectoryOnce: scoring a strategy runs its
+// mechanism exactly once per raw trajectory — protection, scoring and the
+// attack share one pass — at any parallelism, including the ones that
+// split a strategy's users into ranges.
+func TestEvaluateProtectsEachTrajectoryOnce(t *testing.T) {
+	ds := fixture(t)
+	for _, parallelism := range []int{1, 2, 3, 8} {
+		a, b := countedPortfolio(t)
+		m, err := New(Config{Strategies: []lppm.Mechanism{a, b}, Parallelism: parallelism}, lyon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Evaluate(ds); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*countingMechanism{a, b} {
+			if got, want := c.calls.Load(), int64(ds.Len()); got != want {
+				t.Errorf("parallelism %d: Evaluate ran %s on %d trajectories, want %d", parallelism, c.Name(), got, want)
+			}
+		}
+	}
+}
+
+// TestPublishProtectsWinnerTwice: a publication runs every strategy once
+// per raw trajectory to score it, and the winner once more per trajectory
+// to build the release — never a loser a second time.
+func TestPublishProtectsWinnerTwice(t *testing.T) {
 	ds := fixture(t)
 	for _, parallelism := range []int{1, 4} {
-		sm, err := lppm.NewSpeedSmoothing(100, 2)
+		a, b := countedPortfolio(t)
+		m, err := New(Config{Strategies: []lppm.Mechanism{a, b}, Parallelism: parallelism}, lyon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counter := &countingMechanism{inner: sm}
-		m, err := New(Config{
-			Strategies:  []lppm.Mechanism{counter},
-			Parallelism: parallelism,
-		}, lyon)
+		_, sel, err := m.Publish(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := m.Publish(ds); err != nil {
+		for _, c := range []*countingMechanism{a, b} {
+			want := int64(ds.Len())
+			if c.Name() == sel.Chosen {
+				want *= 2
+			}
+			if got := c.calls.Load(); got != want {
+				t.Errorf("parallelism %d: Publish (winner %s) ran %s on %d trajectories, want %d",
+					parallelism, sel.Chosen, c.Name(), got, want)
+			}
+		}
+	}
+}
+
+// TestRangeSplitMatchesSequential: a strategy given more than one worker
+// scores its users in contiguous ranges and merges them; one- and
+// two-strategy portfolios must report and release byte-identically at
+// parallelism 1, 2, 3 and 8, monolithic and sharded.
+func TestRangeSplitMatchesSequential(t *testing.T) {
+	ds := fixture(t)
+	policy := mustPolicy(t)(NewShardByWindow(48 * time.Hour))
+	a, b := countedPortfolio(t)
+	for name, portfolio := range map[string][]lppm.Mechanism{
+		"one": {a.inner},
+		"two": {a.inner, b.inner},
+	} {
+		var want string
+		for _, parallelism := range []int{1, 2, 3, 8} {
+			m, err := New(Config{Strategies: portfolio, Parallelism: parallelism, PseudonymKey: []byte("ranges")}, lyon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, sel, err := m.Publish(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srel, ssel, err := m.PublishSharded(ds, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := marshal(t, rel) + marshal(t, sel) + marshal(t, srel) + marshal(t, ssel)
+			if parallelism == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s-strategy portfolio at parallelism %d: report or release differs from parallelism 1", name, parallelism)
+			}
+		}
+	}
+}
+
+// TestReleaseSurvivesNextPublication: the engine reuses its buffers from
+// one publication to the next, so a release must own its records — its
+// content hash cannot move when the same middleware publishes again, cold
+// or through a cache.
+func TestReleaseSurvivesNextPublication(t *testing.T) {
+	ds := fixture(t)
+	policy := mustPolicy(t)(NewShardByUser(3))
+	for _, cache := range []evalcache.Cache{nil, evalcache.NewLRU(0)} {
+		m, err := New(Config{Parallelism: 2, Cache: cache}, lyon)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := counter.calls.Load(), int64(ds.Len()); got != want {
-			t.Errorf("parallelism %d: winner protected %d trajectories, want %d (one pass)",
-				parallelism, got, want)
+		var kept []*trace.Dataset
+		var hashes [][trace.HashSize]byte
+		for _, in := range []*trace.Dataset{ds, grown(ds), ds, shifted(ds, 1)} {
+			rel, _, err := m.Publish(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srel, _, err := m.PublishSharded(in, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*trace.Dataset{rel, srel} {
+				kept = append(kept, r)
+				hashes = append(hashes, r.ContentHash())
+			}
+			for i, r := range kept {
+				if r.ContentHash() != hashes[i] {
+					t.Fatalf("cache %v: release %d changed after a later publication", cache != nil, i)
+				}
+			}
 		}
 	}
 }

@@ -42,7 +42,7 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 			"Latency of one shard's strategy selection inside PublishSharded.",
 			obs.LatencyBuckets),
 		strategySeconds: reg.Histogram("apisense_core_strategy_eval_seconds",
-			"Latency of one strategy's evaluation: protection, attack simulation and utility scoring.",
+			"Latency of one strategy's evaluation: one pass protecting, scoring and extracting stays per trajectory, then place matching.",
 			obs.LatencyBuckets),
 	}
 }

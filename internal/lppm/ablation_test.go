@@ -35,7 +35,7 @@ func TestSmoothingUniformGapsProperty(t *testing.T) {
 	}
 	f := func(seed uint64) bool {
 		tr := randomWalk(seed%1000, 200)
-		out, err := s.Protect(tr)
+		out, err := protectOne(s, tr)
 		if err != nil {
 			return false
 		}
@@ -70,7 +70,7 @@ func TestSmoothingOutputInsideInputSpan(t *testing.T) {
 	}
 	f := func(seed uint64) bool {
 		tr := randomWalk(seed%1000+7, 150)
-		out, err := s.Protect(tr)
+		out, err := protectOne(s, tr)
 		if err != nil || out.Len() == 0 {
 			return err == nil
 		}
@@ -99,11 +99,11 @@ func TestSmoothingTrimAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outNo, err := noTrim.Protect(tr)
+	outNo, err := protectOne(noTrim, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outTrim, err := trimmed.Protect(tr)
+	outTrim, err := protectOne(trimmed, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestGeoIndRadiusDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := walk("alice", 20000, 1, time.Second)
-	out, err := g.Protect(tr)
+	out, err := protectOne(g, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMechanismsPreserveUserAndCount(t *testing.T) {
 	}
 	pointwise := []Mechanism{Identity{}, gi, cl, gs}
 	for _, m := range pointwise {
-		out, err := m.Protect(tr)
+		out, err := protectOne(m, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestMechanismsPreserveUserAndCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sm.Protect(tr)
+	out, err := protectOne(sm, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

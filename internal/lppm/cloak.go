@@ -36,15 +36,15 @@ func NewCloaking(cellSize float64, origin geo.Point) (*Cloaking, error) {
 func (c *Cloaking) Name() string { return fmt.Sprintf("cloaking(cell=%g)", c.CellSize) }
 
 // Protect implements Mechanism.
-func (c *Cloaking) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
-	out := t.Clone()
-	for i := range out.Records {
-		xy := c.proj.Forward(out.Records[i].Pos)
+func (c *Cloaking) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
+	for _, rec := range t.Records {
+		xy := c.proj.Forward(rec.Pos)
 		xy.X = (math.Floor(xy.X/c.CellSize) + 0.5) * c.CellSize
 		xy.Y = (math.Floor(xy.Y/c.CellSize) + 0.5) * c.CellSize
-		out.Records[i].Pos = c.proj.Inverse(xy)
+		rec.Pos = c.proj.Inverse(xy)
+		dst = append(dst, rec)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Downsample keeps one record out of every Factor, reducing temporal
@@ -69,12 +69,11 @@ func NewDownsample(factor int) (*Downsample, error) {
 func (d *Downsample) Name() string { return fmt.Sprintf("downsample(k=%d)", d.Factor) }
 
 // Protect implements Mechanism.
-func (d *Downsample) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
-	out := &trace.Trajectory{User: t.User}
+func (d *Downsample) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
 	for i := 0; i < len(t.Records); i += d.Factor {
-		out.Records = append(out.Records, t.Records[i])
+		dst = append(dst, t.Records[i])
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Compose chains mechanisms: the output of one is the input of the next.
@@ -104,23 +103,32 @@ func (c *Compose) Name() string {
 	return name + ")"
 }
 
-// Protect implements Mechanism.
-func (c *Compose) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
+// Protect implements Mechanism. Stages before the last alternate between
+// two scratch buffers; the last one appends to dst. A stage that suppresses
+// the trajectory ends the chain.
+func (c *Compose) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
+	var scratch [2][]trace.Record
 	cur := t
-	for _, m := range c.Mechanisms {
-		next, err := m.Protect(cur)
-		if err != nil {
-			return nil, fmt.Errorf("lppm: compose stage %s: %w", m.Name(), err)
+	last := len(c.Mechanisms) - 1
+	for i, m := range c.Mechanisms {
+		out := scratch[i%2][:0]
+		if i == last {
+			out = dst
 		}
-		cur = next
-		if cur.Len() == 0 {
+		out, err := m.Protect(out, cur)
+		if err != nil {
+			return dst, fmt.Errorf("lppm: compose stage %s: %w", m.Name(), err)
+		}
+		if i == last {
+			return out, nil
+		}
+		if len(out) == 0 {
 			break
 		}
+		scratch[i%2] = out
+		cur = &trace.Trajectory{User: t.User, Records: out}
 	}
-	if cur == t {
-		cur = t.Clone()
-	}
-	return cur, nil
+	return dst, nil
 }
 
 // TimeShift shifts all timestamps by a constant offset; used in tests and to
@@ -135,10 +143,10 @@ var _ Mechanism = (*TimeShift)(nil)
 func (s *TimeShift) Name() string { return fmt.Sprintf("timeshift(%s)", s.Offset) }
 
 // Protect implements Mechanism.
-func (s *TimeShift) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
-	out := t.Clone()
-	for i := range out.Records {
-		out.Records[i].Time = out.Records[i].Time.Add(s.Offset)
+func (s *TimeShift) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
+	for _, rec := range t.Records {
+		rec.Time = rec.Time.Add(s.Offset)
+		dst = append(dst, rec)
 	}
-	return out, nil
+	return dst, nil
 }

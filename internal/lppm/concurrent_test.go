@@ -133,11 +133,11 @@ type failingMechanism struct{ failUser string }
 
 func (f failingMechanism) Name() string { return "failing" }
 
-func (f failingMechanism) Protect(tr *trace.Trajectory) (*trace.Trajectory, error) {
+func (f failingMechanism) Protect(dst []trace.Record, tr *trace.Trajectory) ([]trace.Record, error) {
 	if tr.User == f.failUser {
-		return nil, errors.New("boom")
+		return dst, errors.New("boom")
 	}
-	return tr.Clone(), nil
+	return append(dst, tr.Records...), nil
 }
 
 // TestProtectDatasetContextError: a mechanism error surfaces (wrapped with

@@ -35,16 +35,16 @@ func ExampleSpeedSmoothing() {
 		fmt.Println(err)
 		return
 	}
-	released, err := smoothing.Protect(day)
+	released, err := smoothing.Protect(nil, day)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	gap := released.Records[1].Time.Sub(released.Records[0].Time)
+	gap := released[1].Time.Sub(released[0].Time)
 	fmt.Printf("mechanism: %s\n", smoothing.Name())
 	fmt.Printf("input: %d fixes over %s, 8h of them parked\n", day.Len(), day.Duration())
 	fmt.Printf("release: %d fixes, uniform %s apart — the dwell is gone\n",
-		released.Len(), gap.Round(time.Minute))
+		len(released), gap.Round(time.Minute))
 	// Output:
 	// mechanism: smoothing(eps=500,trim=1)
 	// input: 541 fixes over 9h0m0s, 8h of them parked

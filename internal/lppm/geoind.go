@@ -39,10 +39,9 @@ func NewGeoInd(epsilon float64, seed uint64) (*GeoInd, error) {
 func (g *GeoInd) Name() string { return fmt.Sprintf("geoind(eps=%g)", g.Epsilon) }
 
 // Protect implements Mechanism.
-func (g *GeoInd) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
+func (g *GeoInd) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
 	rng := trajectoryRNG(g.Seed, t)
-	out := t.Clone()
-	for i := range out.Records {
+	for _, rec := range t.Records {
 		// Gamma(2, eps) radius: sum of two Exp(eps) draws.
 		u1 := rng.Float64()
 		u2 := rng.Float64()
@@ -54,9 +53,10 @@ func (g *GeoInd) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
 		}
 		r := -(math.Log(u1) + math.Log(u2)) / g.Epsilon
 		sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
-		out.Records[i].Pos = geo.Translate(out.Records[i].Pos, r*cos, r*sin)
+		rec.Pos = geo.Translate(rec.Pos, r*cos, r*sin)
+		dst = append(dst, rec)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // GaussianNoise perturbs every fix with isotropic Gaussian noise of the
@@ -82,12 +82,11 @@ func NewGaussianNoise(sigma float64, seed uint64) (*GaussianNoise, error) {
 func (g *GaussianNoise) Name() string { return fmt.Sprintf("gaussian(sigma=%g)", g.Sigma) }
 
 // Protect implements Mechanism.
-func (g *GaussianNoise) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
+func (g *GaussianNoise) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
 	rng := trajectoryRNG(g.Seed, t)
-	out := t.Clone()
-	for i := range out.Records {
-		out.Records[i].Pos = geo.Translate(out.Records[i].Pos,
-			rng.NormFloat64()*g.Sigma, rng.NormFloat64()*g.Sigma)
+	for _, rec := range t.Records {
+		rec.Pos = geo.Translate(rec.Pos, rng.NormFloat64()*g.Sigma, rng.NormFloat64()*g.Sigma)
+		dst = append(dst, rec)
 	}
-	return out, nil
+	return dst, nil
 }

@@ -25,18 +25,25 @@ import (
 )
 
 // Mechanism transforms a single trajectory into its protected counterpart.
-// Implementations must not mutate the input, must return a trajectory that
-// shares no records with it (the publication engine caches protected
-// output across publications while callers keep their raw data), and must
-// be safe for concurrent Protect calls (all built-in mechanisms are
-// immutable after construction).
-// A returned trajectory with zero records means the trajectory is suppressed
-// from the release.
+// Protect appends the protected records of t to dst and returns the
+// extended slice; when it appends nothing, t is suppressed from the
+// release. Every implementation must
+//
+//   - never mutate t;
+//   - never retain dst (callers reuse it for the next trajectory);
+//   - append records that share nothing with t (the publication engine
+//     scores a buffer it then overwrites, and releases copies of it while
+//     callers keep their raw data);
+//   - be safe for concurrent Protect calls (all built-in mechanisms are
+//     immutable after construction).
+//
+// What is appended must not depend on dst's length, capacity or old
+// contents.
 type Mechanism interface {
-	// Name returns a short stable identifier (used in reports and specs).
+	// Name returns a short stable identifier (used in reports).
 	Name() string
-	// Protect returns the protected version of t.
-	Protect(t *trace.Trajectory) (*trace.Trajectory, error)
+	// Protect appends the protected version of t to dst.
+	Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error)
 }
 
 // ProtectDataset applies m to every trajectory of d and returns the
@@ -57,19 +64,28 @@ func ProtectDataset(m Mechanism, d *trace.Dataset) (*trace.Dataset, error) {
 // omitted. parallelism <= 0 selects runtime.GOMAXPROCS(0). The context is
 // checked between trajectories; on cancellation the first ctx error is
 // returned.
+//
+// Each worker protects into one reused buffer and copies every output into
+// a slice of exactly its length, so the release carries no slack capacity.
 func ProtectDatasetContext(ctx context.Context, m Mechanism, d *trace.Dataset, parallelism int) (*trace.Dataset, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	n := len(d.Trajectories)
 	protected := make([]*trace.Trajectory, n)
-	err := par.For(ctx, n, parallelism, func(_ context.Context, i int) error {
+	bufs := make([][]trace.Record, max(1, min(parallelism, n)))
+	err := par.ForWorker(ctx, n, parallelism, func(_ context.Context, w, i int) error {
 		t := d.Trajectories[i]
-		p, err := m.Protect(t)
+		buf, err := m.Protect(bufs[w][:0], t)
 		if err != nil {
 			return protectErr(m, i, t, err)
 		}
-		protected[i] = p
+		bufs[w] = buf
+		if len(buf) > 0 {
+			recs := make([]trace.Record, len(buf))
+			copy(recs, buf)
+			protected[i] = &trace.Trajectory{User: t.User, Records: recs}
+		}
 		return nil
 	})
 	if err != nil {
@@ -77,7 +93,7 @@ func ProtectDatasetContext(ctx context.Context, m Mechanism, d *trace.Dataset, p
 	}
 	out := trace.NewDataset()
 	for _, p := range protected {
-		if p.Len() > 0 {
+		if p != nil {
 			out.Add(p)
 		}
 	}
@@ -98,8 +114,8 @@ var _ Mechanism = Identity{}
 func (Identity) Name() string { return "identity" }
 
 // Protect implements Mechanism.
-func (Identity) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
-	return t.Clone(), nil
+func (Identity) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
+	return append(dst, t.Records...), nil
 }
 
 // trajectoryRNG derives a deterministic random stream for trajectory t from

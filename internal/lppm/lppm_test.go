@@ -27,9 +27,18 @@ func walk(user string, n int, vMS float64, step time.Duration) *trace.Trajectory
 	return tr
 }
 
+// protectOne runs m on one trajectory into a fresh slice.
+func protectOne(m Mechanism, tr *trace.Trajectory) (*trace.Trajectory, error) {
+	recs, err := m.Protect(nil, tr)
+	if err != nil {
+		return nil, err
+	}
+	return &trace.Trajectory{User: tr.User, Records: recs}, nil
+}
+
 func TestIdentity(t *testing.T) {
 	tr := walk("alice", 10, 1, time.Minute)
-	out, err := Identity{}.Protect(tr)
+	out, err := protectOne(Identity{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +73,7 @@ func TestGeoIndMeanDisplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := walk("alice", 4000, 1, time.Second)
-	out, err := g.Protect(tr)
+	out, err := protectOne(g, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +93,11 @@ func TestGeoIndDeterministicPerTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := walk("alice", 50, 1, time.Minute)
-	a, err := g.Protect(tr)
+	a, err := protectOne(g, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.Protect(tr)
+	b, err := protectOne(g, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +108,7 @@ func TestGeoIndDeterministicPerTrajectory(t *testing.T) {
 	}
 	// Different users get different noise.
 	tr2 := walk("bob", 50, 1, time.Minute)
-	c, err := g.Protect(tr2)
+	c, err := protectOne(g, tr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +135,7 @@ func TestGaussianNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := walk("alice", 3000, 1, time.Second)
-	out, err := g.Protect(tr)
+	out, err := protectOne(g, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestCloaking(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := walk("alice", 100, 2, time.Minute)
-	out, err := c.Protect(tr)
+	out, err := protectOne(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +178,7 @@ func TestCloaking(t *testing.T) {
 		t.Error("cloaking did not coarsen positions")
 	}
 	// Same input point always snaps identically (no randomness).
-	out2, err := c.Protect(tr)
+	out2, err := protectOne(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +198,7 @@ func TestDownsample(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := walk("alice", 10, 1, time.Minute)
-	out, err := d.Protect(tr)
+	out, err := protectOne(d, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +227,7 @@ func TestCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := walk("alice", 10, 2, time.Minute)
-	out, err := comp.Protect(tr)
+	out, err := protectOne(comp, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +242,7 @@ func TestCompose(t *testing.T) {
 func TestTimeShift(t *testing.T) {
 	s := &TimeShift{Offset: time.Hour}
 	tr := walk("alice", 3, 1, time.Minute)
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +298,10 @@ func TestFromSpec(t *testing.T) {
 		"", "unknown", "geoind:eps=zero", "geoind:eps", "downsample:k=x",
 		"smoothing:eps=-5", "gaussian:sigma=-1", "cloaking:cell=0",
 		"simplify:tol=-2",
+		// unknown keys, repeated keys and signed seeds
+		"geoind:epsilon=0.002", "identity:eps=1", "smoothing:eps=100,tirm=1",
+		"cloaking:cell=400,lng=4.8", "smoothing:eps=50,eps=200",
+		"geoind:eps=0.01,seed=1,seed=2", "geoind:seed=-1", "gaussian:seed=1.5",
 	}
 	for _, spec := range bad {
 		if _, err := FromSpec(spec); err == nil {

@@ -35,15 +35,12 @@ func NewSimplify(tolerance float64) (*Simplify, error) {
 func (s *Simplify) Name() string { return fmt.Sprintf("simplify(tol=%g)", s.Tolerance) }
 
 // Protect implements Mechanism.
-func (s *Simplify) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
-	out := &trace.Trajectory{User: t.User}
+func (s *Simplify) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
 	if t.Len() == 0 {
-		return out, nil
+		return dst, nil
 	}
-	kept := geo.SimplifyIndices(t.Points(), s.Tolerance)
-	out.Records = make([]trace.Record, len(kept))
-	for i, idx := range kept {
-		out.Records[i] = t.Records[idx]
+	for _, idx := range geo.SimplifyIndices(t.Points(), s.Tolerance) {
+		dst = append(dst, t.Records[idx])
 	}
-	return out, nil
+	return dst, nil
 }

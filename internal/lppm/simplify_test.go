@@ -22,7 +22,7 @@ func TestSimplifyReducesRecordsButKeepsPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSimplifyLeaksPresenceAtStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSimplifyOnNoisyDataKeepsDwellDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := noise.Protect(tr)
+	noisy, err := protectOne(noise, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSimplifyOnNoisyDataKeepsDwellDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(noisy)
+	out, err := protectOne(s, noisy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSimplifyEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(walk("empty", 0, 1, time.Minute))
+	out, err := protectOne(s, walk("empty", 0, 1, time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,38 +56,38 @@ func (s *SpeedSmoothing) Name() string {
 	return fmt.Sprintf("smoothing(eps=%g,trim=%d)", s.Epsilon, s.Trim)
 }
 
-// Protect implements Mechanism.
-func (s *SpeedSmoothing) Protect(t *trace.Trajectory) (*trace.Trajectory, error) {
-	out := &trace.Trajectory{User: t.User}
+// Protect implements Mechanism. The resampled positions are written
+// straight into dst, trimmed in place, and then given their timestamps.
+func (s *SpeedSmoothing) Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error) {
 	if t.Len() < 2 {
-		return out, nil // nothing to smooth: suppress
+		return dst, nil // nothing to smooth: suppress
 	}
-	pts := resampleArcLength(t.Records, s.Epsilon)
-	if len(pts) <= 2*s.Trim+1 {
-		return out, nil // too short after trimming: suppress
+	base := len(dst)
+	dst = resampleArcLength(dst, t.Records, s.Epsilon)
+	n := len(dst) - base
+	if n <= 2*s.Trim+1 {
+		return dst[:base], nil // too short after trimming: suppress
 	}
-	pts = pts[s.Trim : len(pts)-s.Trim]
+	n = copy(dst[base:], dst[base+s.Trim:len(dst)-s.Trim])
+	dst = dst[:base+n]
 
 	start := t.Records[0].Time
 	span := t.Records[len(t.Records)-1].Time.Sub(start)
-	n := len(pts)
-	out.Records = make([]trace.Record, n)
-	for i, p := range pts {
+	for i := range n {
 		var ts time.Time
 		if n == 1 {
 			ts = start.Add(span / 2)
 		} else {
 			ts = start.Add(time.Duration(float64(span) * float64(i) / float64(n-1)))
 		}
-		out.Records[i] = trace.Record{Time: ts, Pos: p}
+		dst[base+i].Time = ts
 	}
-	return out, nil
+	return dst, nil
 }
 
-// resampleArcLength walks the polyline defined by recs and returns
-// interpolated positions at arc lengths eps, 2*eps, 3*eps, ...
-func resampleArcLength(recs []trace.Record, eps float64) []geo.Point {
-	var out []geo.Point
+// resampleArcLength walks the polyline defined by recs and appends to dst a
+// record, positioned but not yet timed, at arc lengths eps, 2*eps, 3*eps, ...
+func resampleArcLength(dst, recs []trace.Record, eps float64) []trace.Record {
 	target := eps
 	var acc float64
 	for i := 1; i < len(recs); i++ {
@@ -95,10 +95,10 @@ func resampleArcLength(recs []trace.Record, eps float64) []geo.Point {
 		d := geo.Distance(a, b)
 		for d > 0 && target <= acc+d {
 			frac := (target - acc) / d
-			out = append(out, geo.Lerp(a, b, frac))
+			dst = append(dst, trace.Record{Pos: geo.Lerp(a, b, frac)})
 			target += eps
 		}
 		acc += d
 	}
-	return out
+	return dst
 }

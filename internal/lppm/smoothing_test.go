@@ -60,7 +60,7 @@ func TestSmoothingConstantSpeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSmoothingErasesDwellTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSmoothingDefeatsStayPointAttackSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSmoothingSuppressesStationaryTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSmoothingSuppressesTinyInputs(t *testing.T) {
 	}
 	for n := 0; n <= 2; n++ {
 		tr := walk("tiny", n, 1, time.Minute)
-		out, err := s.Protect(tr)
+		out, err := protectOne(s, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestSmoothingTrimsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSmoothingPreservesPathShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Protect(tr)
+	out, err := protectOne(s, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestSmoothingDoesNotMutateInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Protect(tr); err != nil {
+	if _, err := protectOne(s, tr); err != nil {
 		t.Fatal(err)
 	}
 	for i := range tr.Records {

@@ -557,10 +557,73 @@ func TestScoreIndependentOfOrder(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two scorecards are equal bit for bit.
+func sameBits(a, b Score) bool {
+	fa := []float64{a.Coverage, a.HotspotOverlap, a.TrafficUtility, a.Distortion.Mean, a.Distortion.Median, a.Distortion.P95, a.Distortion.Max}
+	fb := []float64{b.Coverage, b.HotspotOverlap, b.TrafficUtility, b.Distortion.Mean, b.Distortion.Median, b.Distortion.P95, b.Distortion.Max}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.Distortion.Points == b.Distortion.Points
+}
+
+// scorePartitioned scores prot's users in contiguous ranges, one Scorer
+// each, and merges the ranges in order into the first. A range ends after
+// user i (in first-appearance order) when bit i of cuts is set. The first
+// Scorer is a reused one: it scored all of prot, as one user, before its
+// Reset.
+func scorePartitioned(v *RawView, prot *trace.Dataset, cuts uint64) Score {
+	first := NewScorer(v)
+	for _, t := range prot.Trajectories {
+		first.Add(t, 1)
+	}
+	first.Score()
+	first.Reset(v)
+	parts := []*Scorer{first}
+	groups := groupByUser(prot)
+	for i, group := range groups {
+		for _, t := range group {
+			parts[len(parts)-1].Add(t, int32(i+1))
+		}
+		if cuts&(1<<i) != 0 && i+1 < len(groups) {
+			parts = append(parts, NewScorer(v))
+		}
+	}
+	for _, p := range parts[1:] {
+		first.Merge(p)
+	}
+	return first.Score()
+}
+
+// TestScorerPartitionsMatchScore: splitting a release's users into 1 to 8
+// contiguous ranges, scoring each range on its own Scorer and merging them
+// gives Score's scorecard bit for bit, on every strategy of the default
+// portfolio.
+func TestScorerPartitionsMatchScore(t *testing.T) {
+	raw, city, g, cut := analysisSetup(t, mobgen.Config{Seed: 5, Users: 8, Days: 3})
+	view := NewRawView(raw, g, 20, cut)
+	for _, m := range defaultPortfolio(t, city.Center) {
+		prot, err := lppm.ProtectDataset(m, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := view.Score(prot)
+		for _, cuts := range []uint64{0, 1, 0b1010, 0b0110_1101, 0xff} {
+			if got := scorePartitioned(view, prot, cuts); !sameBits(got, want) {
+				t.Errorf("%s, cuts %08b: merged partials score %+v, want %+v", m.Name(), cuts, got, want)
+			}
+		}
+	}
+}
+
 // FuzzScoreMatchesReference decodes the input into a small raw dataset and
 // a release of it — users, trajectories, times and positions all chosen by
 // the bytes, times unsorted and repeating, positions inside and outside the
-// grid — and holds every scorer to the reference oracles.
+// grid — and holds every scorer to the reference oracles. The high bits of
+// the first byte split the release's users into contiguous ranges, whose
+// merged Scorers must score the release as Score does, bit for bit.
 func FuzzScoreMatchesReference(f *testing.F) {
 	f.Add([]byte{}) // the scenarios are in testdata/fuzz/FuzzScoreMatchesReference
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -570,6 +633,12 @@ func FuzzScoreMatchesReference(f *testing.F) {
 		g := testGrid(t)
 		raw, prot, cut := decodeFuzzDatasets(data)
 		checkAgainstReference(t, raw, prot, g, 3, cut)
+		if len(data) > 0 {
+			view := NewRawView(raw, g, 3, cut)
+			if got, want := scorePartitioned(view, prot, uint64(data[0]>>2)), view.Score(prot); !sameBits(got, want) {
+				t.Errorf("ranges %06b: merged partials score %+v, want %+v", data[0]>>2, got, want)
+			}
+		}
 	})
 }
 

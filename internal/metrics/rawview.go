@@ -79,25 +79,87 @@ type Score struct {
 // located once on its user's raw trajectories for the distortion. The
 // result equals what Coverage, TopKOverlap over UserDensity, the
 // SplitAtDay/CountTraffic/Forecaster chain and SpatialDistortion give
-// separately.
+// separately. It is a Scorer fed the release user by user.
 func (v *RawView) Score(protected *trace.Dataset) Score {
-	cells := newCellTally(v.grid, &v.cells)
-	scan := newDistortionScan(protected.NumRecords())
-	trained := false
+	s := NewScorer(v)
+	s.scan.dists = make([]float64, 0, protected.NumRecords())
 	for i, group := range groupByUser(protected) {
-		raw := v.tracks[group[0].User]
 		for _, t := range group {
-			train := v.traffic != nil && len(t.Records) > 0 && t.Records[0].Time.Before(v.traffic.cut)
-			trained = trained || train
-			cells.add(t, int32(i+1), train)
-			scan.add(t, raw)
+			s.Add(t, int32(i+1))
 		}
 	}
-	sc := Score{Coverage: coverage(cells), Distortion: summarize(scan.dists)}
+	return s.Score()
+}
+
+// Scorer accumulates the Score of a protected release fed to it one
+// trajectory at a time, so a release never has to exist as a whole: each
+// trajectory's records are binned and located as Add reads them, and Add
+// keeps nothing of the trajectory. Scorers over disjoint sets of users
+// Merge exactly into the Scorer of their union, since every part of a
+// Score is an order-free sum: per-cell and per-(cell, hour) distinct-user
+// counts add, and the distortion summary is independent of the order of
+// its distances. A Scorer is not safe for concurrent use; score a release
+// in parallel with one Scorer per range of users and merge them.
+type Scorer struct {
+	view    *RawView
+	cells   cellTally
+	scan    distortionScan
+	trained bool
+}
+
+// NewScorer returns an empty Scorer bound to v.
+func NewScorer(v *RawView) *Scorer {
+	s := &Scorer{}
+	s.Reset(v)
+	return s
+}
+
+// Reset empties s and binds it to v, keeping the room its cell table,
+// visit table and distances have grown. Reset(nil) binds s to no view, so
+// that a Scorer waiting to be reused keeps none alive.
+func (s *Scorer) Reset(v *RawView) {
+	s.view = v
+	if v == nil {
+		s.cells.reset(nil, &noCells)
+	} else {
+		s.cells.reset(v.grid, &v.cells)
+	}
+	s.scan.dists = s.scan.dists[:0]
+	s.trained = false
+}
+
+// noCells is the empty base table of a Scorer bound to no view.
+var noCells idTable
+
+// Add scores one protected trajectory of the user numbered uid (uids are
+// positive). A user's trajectories must be added one after the other, and
+// no two users of the releases merged into one Scorer may share a uid.
+func (s *Scorer) Add(t *trace.Trajectory, uid int32) {
+	v := s.view
+	train := v.traffic != nil && len(t.Records) > 0 && t.Records[0].Time.Before(v.traffic.cut)
+	s.trained = s.trained || train
+	s.cells.add(t, uid, train)
+	s.scan.add(t, v.tracks[t.User])
+}
+
+// Merge adds what o has scored to s. Both must be bound to the same
+// RawView and have scored disjoint sets of users; o is left as it was.
+func (s *Scorer) Merge(o *Scorer) {
+	s.cells.merge(&o.cells)
+	s.scan.dists = append(s.scan.dists, o.scan.dists...)
+	s.trained = s.trained || o.trained
+}
+
+// Score returns the scorecard of everything added or merged so far. It
+// reorders the kept distances, so it is meant to be called once, after the
+// last Add or Merge.
+func (s *Scorer) Score() Score {
+	v, cells := s.view, &s.cells
+	sc := Score{Coverage: coverage(cells), Distortion: summarize(s.scan.dists)}
 	if v.k > 0 {
 		sc.HotspotOverlap = topOverlap(v.top, topCells(cells.scored(), v.k))
 	}
-	if trained {
+	if s.trained {
 		sc.TrafficUtility = 1
 		if mae := forecastError(cells.hourlyMeans(), v.traffic.actual).MAE; mae != 0 {
 			sc.TrafficUtility = min(v.traffic.baseMAE/mae, 1)

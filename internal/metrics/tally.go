@@ -63,11 +63,22 @@ type visit struct {
 }
 
 func newCellTally(g *geo.Grid, base *idTable) *cellTally {
-	c := &cellTally{grid: g, base: base, cells: make([]cellState, base.len())}
+	c := &cellTally{}
+	c.reset(g, base)
+	return c
+}
+
+// reset empties c and rebinds it to grid g and base cells, keeping the
+// room its tables have grown.
+func (c *cellTally) reset(g *geo.Grid, base *idTable) {
+	c.grid, c.base = g, base
+	c.extra.reset()
+	c.hours.reset()
+	c.visits = c.visits[:0]
+	c.cells = slices.Grow(c.cells[:0], base.len())[:base.len()]
 	for i := range c.cells {
 		c.cells[i] = cellState{last: -1, head: -1}
 	}
-	return c
 }
 
 // tallyCells bins a whole dataset on its own cell ids.
@@ -130,6 +141,23 @@ func (c *cellTally) add(t *trace.Trajectory, uid int32, traffic bool) {
 		hour := floorDiv(sec, 3600)
 		hourFrom, hourTo = hour*3600, hour*3600+3600
 		c.visit(id, hour).count(uid)
+	}
+}
+
+// merge adds o's per-cell and per-visit user counts to c's. Both tally the
+// same base cells, and the users o counted are not among c's, so counts
+// add; o's own cells and visits are found or numbered in c.
+func (c *cellTally) merge(o *cellTally) {
+	for oid := range o.cells {
+		st := &o.cells[oid]
+		if st.users.n == 0 {
+			continue // a base cell o never visited
+		}
+		id := c.id(o.cell(int32(oid)))
+		c.cells[id].users.n += st.users.n
+		for v := st.head; v >= 0; v = o.visits[v].prev {
+			c.visit(id, o.hours.keys[v].b).n += o.visits[v].users.n
+		}
 	}
 }
 
@@ -280,6 +308,12 @@ type idTable struct {
 type idKey struct{ a, b int64 }
 
 func (t *idTable) len() int { return len(t.keys) }
+
+// reset empties t, keeping its slot array.
+func (t *idTable) reset() {
+	t.keys = t.keys[:0]
+	clear(t.slots)
+}
 
 func (t *idTable) home(a, b int64) int {
 	return int((uint64(a)*0x9e3779b97f4a7c15 + uint64(b)) * 0xbf58476d1ce4e5b9 >> t.shift)

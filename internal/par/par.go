@@ -19,6 +19,13 @@ import (
 // ctx.Err(). workers <= 1 (or n <= 1) degrades to a sequential loop with
 // no goroutine overhead.
 func For(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	return ForWorker(ctx, n, workers, func(ctx context.Context, _, i int) error { return fn(ctx, i) })
+}
+
+// ForWorker is For that also tells fn which worker runs it: w is in
+// [0, min(workers, n)) (0 when sequential), and no two calls with the same
+// w overlap, so fn may reuse per-worker scratch indexed by w.
+func ForWorker(ctx context.Context, n, workers int, fn func(ctx context.Context, w, i int) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -27,7 +34,7 @@ func For(ctx context.Context, n, workers int, fn func(ctx context.Context, i int
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(ctx, i); err != nil {
+			if err := fn(ctx, 0, i); err != nil {
 				return err
 			}
 		}
@@ -57,7 +64,7 @@ func For(ctx context.Context, n, workers int, fn func(ctx context.Context, i int
 				if i >= n || wctx.Err() != nil {
 					return
 				}
-				if err := fn(wctx, i); err != nil {
+				if err := fn(wctx, w, i); err != nil {
 					fail(err)
 					return
 				}
