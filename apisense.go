@@ -173,6 +173,11 @@ func NewPrivacyMiddleware(cfg PrivacyConfig, origin Point) (*PrivacyMiddleware, 
 	return core.New(cfg, origin)
 }
 
+// NewPrivacyAttack builds the simulated POI-recovery attack the
+// middleware's privacy floor judges a release by under cfg (its
+// AttackRadius and POIConfig.MinDuration).
+func NewPrivacyAttack(cfg PrivacyConfig) (*attack.POIRecovery, error) { return core.NewAttack(cfg) }
+
 // ---- evaluation cache ----
 
 // EvalCache is the content-addressed evaluation cache. Set

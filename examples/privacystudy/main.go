@@ -35,11 +35,7 @@ func run() error {
 	for _, r := range city.Residents {
 		truth[r.User] = r.TruePOIs()
 	}
-	wide, err := apisense.NewStayPoints(apisense.StayPointConfig{MaxDistance: 500})
-	if err != nil {
-		return err
-	}
-	attack, err := apisense.NewPOIRecovery(wide, 0, 0)
+	attack, err := apisense.NewPrivacyAttack(apisense.PrivacyConfig{})
 	if err != nil {
 		return err
 	}

@@ -49,10 +49,11 @@ func run() error {
 
 	// 3. Publish through PRIVAPI: utility-driven strategy selection under
 	// the default privacy floor.
-	mw, err := apisense.NewPrivacyMiddleware(apisense.PrivacyConfig{
+	cfg := apisense.PrivacyConfig{
 		Objective:    apisense.ObjectiveCrowdedPlaces,
 		PseudonymKey: []byte("quickstart-release"),
-	}, city.Center)
+	}
+	mw, err := apisense.NewPrivacyMiddleware(cfg, city.Center)
 	if err != nil {
 		return err
 	}
@@ -63,8 +64,9 @@ func run() error {
 	fmt.Printf("PRIVAPI selected strategy:           %s\n", selection.Chosen)
 	fmt.Println("released dataset:", release.Summarize())
 
-	// 4. Attack the release (the attacker sees pseudonyms, so the ground
-	// truth is re-keyed the same way).
+	// 4. Attack the release with the attacker PRIVAPI's privacy floor
+	// simulates (it sees pseudonyms, so the ground truth is re-keyed the
+	// same way).
 	pseud, err := apisense.NewPseudonymizer([]byte("quickstart-release"))
 	if err != nil {
 		return err
@@ -73,11 +75,7 @@ func run() error {
 	for user, pois := range truth {
 		anonTruth[pseud.Pseudonym(user)] = pois
 	}
-	wide, err := apisense.NewStayPoints(apisense.StayPointConfig{MaxDistance: 500})
-	if err != nil {
-		return err
-	}
-	attackRelease, err := apisense.NewPOIRecovery(wide, 0, 0)
+	attackRelease, err := apisense.NewPrivacyAttack(cfg)
 	if err != nil {
 		return err
 	}

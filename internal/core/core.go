@@ -305,22 +305,35 @@ func New(cfg Config, origin geo.Point) (*Middleware, error) {
 		return nil, fmt.Errorf("core: reference extractor: %w", err)
 	}
 	m.refExtractor = refExtractor
-	attacker, err := poi.NewStayPoints(poi.StayPointConfig{
+	m.recovery, err = NewAttack(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if m.cache != nil {
+		m.recovery.Extractor = cachingExtractor{inner: m.recovery.Extractor, cache: m.cache, fp: m.fp.attack}
+	}
+	return m, nil
+}
+
+// NewAttack returns the simulated POI-recovery attack the privacy floor
+// judges a release by: stay points within cfg.AttackRadius for
+// cfg.POIConfig.MinDuration (zero fields take their defaults), merged and
+// matched at the attack's default radii. Anything that must judge a
+// release the way the middleware does builds its attacker here.
+func NewAttack(cfg Config) (*attack.POIRecovery, error) {
+	cfg = cfg.withDefaults()
+	extractor, err := poi.NewStayPoints(poi.StayPointConfig{
 		MaxDistance: cfg.AttackRadius,
 		MinDuration: cfg.POIConfig.MinDuration,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: attacker extractor: %w", err)
 	}
-	var attackExtractor poi.Extractor = attacker
-	if m.cache != nil {
-		attackExtractor = cachingExtractor{inner: attacker, cache: m.cache, fp: m.fp.attack}
-	}
-	m.recovery, err = attack.NewPOIRecovery(attackExtractor, 0, 0)
+	recovery, err := attack.NewPOIRecovery(extractor, 0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: recovery attack: %w", err)
 	}
-	return m, nil
+	return recovery, nil
 }
 
 // Strategies returns the names of the candidate strategies.

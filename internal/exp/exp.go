@@ -4,6 +4,12 @@
 // and sharded publication. The runners are shared by the cmd/experiments
 // binary and the root-level benchmarks, and all take an explicit seed so
 // results are reproducible.
+//
+// The tables judge a release as the PRIVAPI middleware does: with core's
+// simulated attacker (core.NewAttack) and the utility scorecard of one
+// metrics.RawView per workload. The one deliberate difference is the
+// truth attacked: mobgen's true POIs (Workload.Truth), where core attacks
+// the reference POIs it extracts from the raw data.
 package exp
 
 import (
@@ -13,21 +19,30 @@ import (
 	"time"
 
 	"apisense/internal/attack"
+	"apisense/internal/core"
 	"apisense/internal/geo"
 	"apisense/internal/lppm"
 	"apisense/internal/metrics"
 	"apisense/internal/mobgen"
-	"apisense/internal/poi"
 	"apisense/internal/trace"
 )
 
 // Workload bundles the synthetic dataset and its ground truth, shared
-// across privacy/utility experiments.
+// across privacy/utility experiments, with the judge of its releases.
+// Build one with NewWorkload, which sets the judge.
 type Workload struct {
 	Raw   *trace.Dataset
 	City  *mobgen.City
 	Truth map[string][]geo.Point
 	Grid  *geo.Grid
+
+	// attack is core's simulated attacker at its default configuration.
+	attack *attack.POIRecovery
+	// view scores a release of Raw as core does: top-20 hotspots on
+	// Grid, traffic held out from lastDay on.
+	view *metrics.RawView
+	// lastDay is the UTC midnight that opens Raw's last day.
+	lastDay time.Time
 }
 
 // DefaultUsers/DefaultDays are the standard workload size (50 users × 14
@@ -55,7 +70,19 @@ func NewWorkload(seed uint64, users, days int) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: grid: %w", err)
 	}
-	return &Workload{Raw: ds, City: city, Truth: truth, Grid: grid}, nil
+	atk, err := core.NewAttack(core.Config{})
+	if err != nil {
+		return nil, err
+	}
+	_, end, _ := ds.TimeSpan()
+	endEve := end.Add(-time.Nanosecond) // an end exactly at midnight belongs to the previous day
+	lastDay := time.Date(endEve.Year(), endEve.Month(), endEve.Day(), 0, 0, 0, 0, time.UTC)
+	return &Workload{
+		Raw: ds, City: city, Truth: truth, Grid: grid,
+		attack:  atk,
+		view:    metrics.NewRawView(ds, grid, 20, lastDay),
+		lastDay: lastDay,
+	}, nil
 }
 
 // Table is a printable experiment result.
@@ -96,25 +123,6 @@ func (t *Table) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-// attackOn runs the standard POI-recovery attack (noise-adaptive 500 m
-// stay-point radius, 15 min dwell) against a protected release.
-func attackOn(truth map[string][]geo.Point, release *trace.Dataset) (attack.RecoveryResult, error) {
-	extractor, err := poi.NewStayPoints(poi.StayPointConfig{MaxDistance: 500, MinDuration: 15 * time.Minute})
-	if err != nil {
-		return attack.RecoveryResult{}, err
-	}
-	rec, err := attack.NewPOIRecovery(extractor, 0, 0)
-	if err != nil {
-		return attack.RecoveryResult{}, err
-	}
-	return rec.Run(truth, release), nil
-}
-
-// protect applies a mechanism to the whole workload.
-func protect(m lppm.Mechanism, w *Workload) (*trace.Dataset, error) {
-	return lppm.ProtectDataset(m, w.Raw)
 }
 
 // mechanismPortfolio is the standard mechanism set compared across E1-E5.
@@ -170,14 +178,11 @@ func E1POIRecovery(w *Workload) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		release, err := protect(gi, w)
+		release, err := lppm.ProtectDataset(gi, w.Raw)
 		if err != nil {
 			return nil, err
 		}
-		res, err := attackOn(w.Truth, release)
-		if err != nil {
-			return nil, err
-		}
+		res := w.attack.Run(w.Truth, release)
 		t.Rows = append(t.Rows, []string{
 			gi.Name(),
 			fmt.Sprintf("%.0fm", 2/eps),
@@ -204,14 +209,11 @@ func E2SpeedSmoothing(w *Workload) (*Table, error) {
 		return nil, err
 	}
 	for _, m := range portfolio {
-		release, err := protect(m, w)
+		release, err := lppm.ProtectDataset(m, w.Raw)
 		if err != nil {
 			return nil, err
 		}
-		res, err := attackOn(w.Truth, release)
-		if err != nil {
-			return nil, err
-		}
+		res := w.attack.Run(w.Truth, release)
 		t.Rows = append(t.Rows, []string{
 			m.Name(), fmtPct(res.Recall()), fmtPct(res.Precision()), fmtF(res.F1()),
 			fmt.Sprintf("%d", release.Len()),
@@ -240,11 +242,7 @@ func E3Linkage(w *Workload) (*Table, error) {
 	if background.Len() == 0 || test.Len() == 0 {
 		return nil, fmt.Errorf("exp: workload too short for linkage split")
 	}
-	extractor, err := poi.NewStayPoints(poi.StayPointConfig{MaxDistance: 500, MinDuration: 15 * time.Minute})
-	if err != nil {
-		return nil, err
-	}
-	linker, err := attack.NewLinker(extractor, 0)
+	linker, err := attack.NewLinker(w.attack.Extractor, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -285,21 +283,19 @@ func E4CrowdedPlaces(w *Workload) (*Table, error) {
 		Title:   "Crowded-places utility: top-20 hotspot overlap (claim C3)",
 		Columns: []string{"mechanism", "overlap-f1", "coverage", "flow-sim"},
 	}
-	rawDen := metrics.UserDensity(w.Raw, w.Grid)
 	rawFlows := metrics.FlowMatrix(w.Raw, w.Grid)
 	portfolio, err := mechanismPortfolio(w.City.Center)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range portfolio {
-		release, err := protect(m, w)
+		release, err := lppm.ProtectDataset(m, w.Raw)
 		if err != nil {
 			return nil, err
 		}
-		overlap := metrics.TopKOverlap(rawDen, metrics.UserDensity(release, w.Grid), 20)
-		cov := metrics.Coverage(w.Raw, release, w.Grid)
+		score := w.view.Score(release)
 		flowSim := metrics.FlowSimilarity(rawFlows, metrics.FlowMatrix(release, w.Grid))
-		t.Rows = append(t.Rows, []string{m.Name(), fmtF(overlap), fmtF(cov), fmtF(flowSim)})
+		t.Rows = append(t.Rows, []string{m.Name(), fmtF(score.HotspotOverlap), fmtF(score.Coverage), fmtF(flowSim)})
 	}
 	return t, nil
 }
@@ -313,13 +309,7 @@ func E5Traffic(w *Workload) (*Table, error) {
 		Columns: []string{"mechanism", "mae", "vs-raw-trained"},
 		Notes:   []string{"lower is better; vs-raw-trained = protMAE/rawMAE (1.0 = no loss)"},
 	}
-	_, end, ok := w.Raw.TimeSpan()
-	if !ok {
-		return nil, fmt.Errorf("exp: empty dataset")
-	}
-	endEve := end.Add(-time.Nanosecond)
-	cut := time.Date(endEve.Year(), endEve.Month(), endEve.Day(), 0, 0, 0, 0, time.UTC)
-	rawTrain, rawTest := metrics.SplitAtDay(w.Raw, cut)
+	rawTrain, rawTest := metrics.SplitAtDay(w.Raw, w.lastDay)
 	actual := metrics.CountTraffic(rawTest, w.Grid)
 	baseF, err := metrics.NewForecaster(metrics.CountTraffic(rawTrain, w.Grid))
 	if err != nil {
@@ -332,11 +322,11 @@ func E5Traffic(w *Workload) (*Table, error) {
 		return nil, err
 	}
 	for _, m := range portfolio {
-		release, err := protect(m, w)
+		release, err := lppm.ProtectDataset(m, w.Raw)
 		if err != nil {
 			return nil, err
 		}
-		protTrain, _ := metrics.SplitAtDay(release, cut)
+		protTrain, _ := metrics.SplitAtDay(release, w.lastDay)
 		f, err := metrics.NewForecaster(metrics.CountTraffic(protTrain, w.Grid))
 		if err != nil {
 			return nil, err

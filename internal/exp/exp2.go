@@ -14,7 +14,6 @@ import (
 	"apisense/internal/hive"
 	"apisense/internal/honeycomb"
 	"apisense/internal/lppm"
-	"apisense/internal/metrics"
 	"apisense/internal/transport"
 )
 
@@ -27,7 +26,6 @@ func E6Frontier(w *Workload) (*Table, error) {
 		Columns: []string{"mechanism", "exposure-f1", "hotspot-overlap", "mean-distortion"},
 		Notes:   []string{"ideal corner: exposure 0, overlap 1"},
 	}
-	rawDen := metrics.UserDensity(w.Raw, w.Grid)
 	var sweep []lppm.Mechanism
 	for _, eps := range []float64{0.05, 0.01, 0.002} {
 		gi, err := lppm.NewGeoInd(eps, 1)
@@ -44,18 +42,14 @@ func E6Frontier(w *Workload) (*Table, error) {
 		sweep = append(sweep, sm)
 	}
 	for _, m := range sweep {
-		release, err := protect(m, w)
+		release, err := lppm.ProtectDataset(m, w.Raw)
 		if err != nil {
 			return nil, err
 		}
-		res, err := attackOn(w.Truth, release)
-		if err != nil {
-			return nil, err
-		}
-		overlap := metrics.TopKOverlap(rawDen, metrics.UserDensity(release, w.Grid), 20)
-		dist := metrics.SpatialDistortion(w.Raw, release)
+		res := w.attack.Run(w.Truth, release)
+		score := w.view.Score(release)
 		t.Rows = append(t.Rows, []string{
-			m.Name(), fmtF(res.F1()), fmtF(overlap), fmt.Sprintf("%.0fm", dist.Mean),
+			m.Name(), fmtF(res.F1()), fmtF(score.HotspotOverlap), fmt.Sprintf("%.0fm", score.Distortion.Mean),
 		})
 	}
 	return t, nil
@@ -111,8 +105,10 @@ sensor.gps.onLocationChanged(function(loc) {
 
 // E8Platform runs experiment E8: end-to-end platform pipeline over HTTP
 // (Fig. 1): register devices, deploy a script task, execute, upload,
-// collect. Reports deployment latency and ingestion throughput. The ctx
-// governs the HTTP interactions and cancels the sweep between fleets.
+// collect. Reports deployment latency and ingestion throughput. A fleet
+// size is clamped to the workload's residents, and a size equal to the
+// row before it is skipped. The ctx governs the HTTP interactions and
+// cancels the sweep between fleets.
 func E8Platform(ctx context.Context, w *Workload, fleetSizes []int) (*Table, error) {
 	t := &Table{
 		ID:      "E8",
@@ -120,13 +116,16 @@ func E8Platform(ctx context.Context, w *Workload, fleetSizes []int) (*Table, err
 		Columns: []string{"devices", "deploy-latency", "records", "ingest-throughput", "collect-latency"},
 	}
 	byUser := w.Raw.ByUser()
+	last := -1
 	for _, n := range fleetSizes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if n > len(w.City.Residents) {
-			n = len(w.City.Residents)
+		n = min(n, len(w.City.Residents))
+		if n == last {
+			continue
 		}
+		last = n
 		h := hive.New()
 		srv := httptest.NewServer(hive.NewServer(h))
 		hc, err := honeycomb.New("exp-lab", srv.URL)
@@ -258,11 +257,7 @@ func E11Filters(w *Workload) (*Table, error) {
 			rr.Upload.DeviceID = res.User
 			uploads = append(uploads, rr.Upload)
 		}
-		ds := honeycomb.UploadsToDataset(uploads, nil)
-		res, err := attackOn(homes, ds)
-		if err != nil {
-			return nil, err
-		}
+		res := w.attack.Run(homes, honeycomb.UploadsToDataset(uploads, nil))
 		t.Rows = append(t.Rows, []string{
 			b.name,
 			fmt.Sprintf("%d", kept),

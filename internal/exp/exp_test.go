@@ -3,9 +3,14 @@ package exp
 import (
 	"bytes"
 	"context"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"apisense/internal/core"
+	"apisense/internal/lppm"
 )
 
 // smallWorkload is shared across tests (generation dominates test time).
@@ -232,6 +237,30 @@ func TestE8PlatformShape(t *testing.T) {
 	}
 }
 
+// TestE8SkipsRepeatedFleetSizes: sizes clamped to the 12 residents of
+// the shared workload give one row per distinct fleet.
+func TestE8SkipsRepeatedFleetSizes(t *testing.T) {
+	for _, tc := range []struct {
+		sizes []int
+		want  []string
+	}{
+		{[]int{3, 6, 100}, []string{"3", "6", "12"}},
+		{[]int{3, 20, 30}, []string{"3", "12"}},
+	} {
+		tab, err := E8Platform(context.Background(), workload(t), tc.sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, row := range tab.Rows {
+			got = append(got, row[0])
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("sizes %v: rows %v, want %v", tc.sizes, got, tc.want)
+		}
+	}
+}
+
 func TestE11FiltersShape(t *testing.T) {
 	tab, err := E11Filters(workload(t))
 	if err != nil {
@@ -295,6 +324,63 @@ func TestE13ShardingShape(t *testing.T) {
 		}
 		if utility < 0.4 {
 			t.Errorf("%s: weighted utility %.3f collapsed vs monolithic %s", mode, utility, cell(tab, 0, 5))
+		}
+	}
+}
+
+// TestTablesJudgeLikeCore pins the tables' judge to core's: for every
+// default strategy, the workload's view and attacker score the strategy's
+// release exactly as core.EvaluateContext does when both attack the same
+// truth (core's reference POIs).
+func TestTablesJudgeLikeCore(t *testing.T) {
+	w := workload(t)
+	strategies, err := core.DefaultStrategies(w.City.Center)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range strategies {
+		mw, err := core.New(core.Config{Strategies: []lppm.Mechanism{m}}, w.City.Center)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evals, err := mw.EvaluateContext(context.Background(), w.Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := evals[0]
+		release, err := lppm.ProtectDataset(m, w.Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		score := w.view.Score(release)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"HotspotOverlap", score.HotspotOverlap, ev.HotspotOverlap},
+			{"Coverage", score.Coverage, ev.Coverage},
+			{"TrafficUtility", score.TrafficUtility, ev.TrafficUtility},
+			{"Distortion.Mean", score.Distortion.Mean, ev.Distortion.Mean},
+			{"Distortion.Median", score.Distortion.Median, ev.Distortion.Median},
+			{"Distortion.P95", score.Distortion.P95, ev.Distortion.P95},
+			{"Distortion.Max", score.Distortion.Max, ev.Distortion.Max},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) && !(math.IsNaN(c.got) && math.IsNaN(c.want)) {
+				t.Errorf("%s: %s = %v, core says %v", m.Name(), c.name, c.got, c.want)
+			}
+		}
+		if score.Distortion.Points != ev.Distortion.Points {
+			t.Errorf("%s: Distortion.Points = %d, core says %d", m.Name(), score.Distortion.Points, ev.Distortion.Points)
+		}
+		truth, err := mw.ReferencePOIs(w.Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.attack.Run(truth, release); got != ev.Privacy {
+			t.Errorf("%s: attack = %+v, core says %+v", m.Name(), got, ev.Privacy)
+		}
+		if release.Len() != ev.Released {
+			t.Errorf("%s: released %d, core says %d", m.Name(), release.Len(), ev.Released)
 		}
 	}
 }
