@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build lint docs test race examples check bench bench-quick fuzz-smoke fmt
+.PHONY: all build lint docs test race examples check bench bench-quick fuzz-smoke fmt netlines
 
 all: check
 
@@ -66,3 +66,14 @@ fuzz-smoke:
 
 fmt:
 	gofmt -w .
+
+# netlines prints the Go lines added, removed and net since BASE (any git
+# revision), non-test code apart from tests: _test.go files and testdata/
+# count as test. Usage: make netlines BASE=<rev>
+netlines:
+	@test -n "$(BASE)" || { echo "usage: make netlines BASE=<rev>" >&2; exit 2; }
+	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk ' \
+		$$1 == "-" { next } \
+		{ k = ($$3 ~ /_test\.go$$/ || $$3 ~ /(^|\/)testdata\//) ? 2 : 1; add[k] += $$1; del[k] += $$2 } \
+		END { split("non-test test", name, " "); \
+			for (k = 1; k <= 2; k++) printf "%-8s +%d -%d net %+d\n", name[k], add[k], del[k], add[k] - del[k] }'

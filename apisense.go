@@ -23,7 +23,7 @@
 //		Seed: 1, Users: 20, Days: 7,
 //	})
 //	mw, _ := apisense.NewPrivacyMiddleware(apisense.PrivacyConfig{}, city.Center)
-//	release, selection, _ := mw.Publish(ds)
+//	release, selection, _ := mw.PublishContext(context.Background(), ds)
 //
 // The facade holds what examples/ and the root tests use. Everything else
 // — the storage engine, the ingest queue, metrics, tracing, coded errors —
@@ -34,6 +34,7 @@
 package apisense
 
 import (
+	"context"
 	"time"
 
 	"apisense/internal/attack"
@@ -145,8 +146,11 @@ func NewCloaking(cellMeters float64, origin Point) (Mechanism, error) {
 func MechanismFromSpec(spec string) (Mechanism, error) { return lppm.FromSpec(spec) }
 
 // Protect applies a mechanism to a whole dataset, parallelising across
-// trajectories (one worker per CPU).
-func Protect(m Mechanism, d *Dataset) (*Dataset, error) { return lppm.ProtectDataset(m, d) }
+// trajectories (one worker per CPU). It stops between trajectories once ctx
+// is cancelled.
+func Protect(ctx context.Context, m Mechanism, d *Dataset) (*Dataset, error) {
+	return lppm.ProtectDatasetContext(ctx, m, d, 0)
+}
 
 // ---- PRIVAPI middleware ----
 
@@ -156,9 +160,9 @@ type (
 	// PrivacyConfig.Parallelism for the evaluation-engine worker pool).
 	PrivacyConfig = core.Config
 	// PrivacyMiddleware selects and applies the optimal strategy. Its
-	// portfolio evaluation runs on a concurrent engine; use
-	// PublishContext/EvaluateContext to make long publications
-	// cancellable.
+	// portfolio evaluation runs on a concurrent engine; every entry point
+	// (PublishContext, EvaluateContext, PublishShardedContext) takes the
+	// caller's context and abandons the run when it is cancelled.
 	PrivacyMiddleware = core.Middleware
 )
 

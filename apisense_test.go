@@ -1,6 +1,7 @@
 package apisense
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release, sel, err := mw.Publish(ds)
+	release, sel, err := mw.PublishContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestFacadeShardedPublish(t *testing.T) {
 	if len(shards) < 2 {
 		t.Fatalf("%d shards, want >= 2", len(shards))
 	}
-	release, sel, err := mw.PublishSharded(ds, policy)
+	release, sel, err := mw.PublishShardedContext(context.Background(), ds, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestFacadeMechanisms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Protect(m, ds)
+	out, err := Protect(context.Background(), m, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,11 @@ func benchWorkload(b *testing.B) *exp.Workload {
 	return benchW
 }
 
-func runTable(b *testing.B, run func(*exp.Workload) (*exp.Table, error)) {
+func runTable(b *testing.B, run func(context.Context, *exp.Workload) (*exp.Table, error)) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(w); err != nil {
+		if _, err := run(context.Background(), w); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,11 +83,7 @@ func BenchmarkE5Traffic(b *testing.B) { runTable(b, exp.E5Traffic) }
 func BenchmarkE6Frontier(b *testing.B) { runTable(b, exp.E6Frontier) }
 
 // BenchmarkE7Selection regenerates Table E7 (PRIVAPI optimal selection).
-func BenchmarkE7Selection(b *testing.B) {
-	runTable(b, func(w *exp.Workload) (*exp.Table, error) {
-		return exp.E7Selection(context.Background(), w)
-	})
-}
+func BenchmarkE7Selection(b *testing.B) { runTable(b, exp.E7Selection) }
 
 // BenchmarkE8Platform regenerates Table E8 (platform pipeline over HTTP).
 func BenchmarkE8Platform(b *testing.B) {

@@ -43,7 +43,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	runners := []struct {
 		id  string
-		run func(*exp.Workload) (*exp.Table, error)
+		run func(context.Context, *exp.Workload) (*exp.Table, error)
 	}{
 		{"E1", exp.E1POIRecovery},
 		{"E2", exp.E2SpeedSmoothing},
@@ -51,10 +51,12 @@ func run(ctx context.Context, args []string) error {
 		{"E4", exp.E4CrowdedPlaces},
 		{"E5", exp.E5Traffic},
 		{"E6", exp.E6Frontier},
-		{"E7", func(w *exp.Workload) (*exp.Table, error) { return exp.E7Selection(ctx, w) }},
-		{"E8", func(w *exp.Workload) (*exp.Table, error) { return exp.E8Platform(ctx, w, []int{10, 25, 50}) }},
+		{"E7", exp.E7Selection},
+		{"E8", func(ctx context.Context, w *exp.Workload) (*exp.Table, error) {
+			return exp.E8Platform(ctx, w, []int{10, 25, 50})
+		}},
 		{"E11", exp.E11Filters},
-		{"E13", func(w *exp.Workload) (*exp.Table, error) { return exp.E13Sharding(ctx, w) }},
+		{"E13", exp.E13Sharding},
 	}
 	ids := make([]string, len(runners))
 	for i, r := range runners {
@@ -88,7 +90,7 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		t0 := time.Now()
-		tab, err := r.run(w)
+		tab, err := r.run(ctx, w)
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.id, err)
 		}

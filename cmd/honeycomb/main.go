@@ -18,6 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"apisense/internal/core"
 	"apisense/internal/honeycomb"
@@ -26,27 +28,31 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// SIGINT/SIGTERM cancel the deploy, the collect and the PRIVAPI
+	// publication instead of killing the process mid-run.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "honeycomb:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(ctx context.Context, args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: honeycomb <deploy|collect> [flags]")
 	}
 	switch args[0] {
 	case "deploy":
-		return runDeploy(args[1:])
+		return runDeploy(ctx, args[1:])
 	case "collect":
-		return runCollect(args[1:])
+		return runCollect(ctx, args[1:])
 	default:
 		return fmt.Errorf("unknown subcommand %q (want deploy or collect)", args[0])
 	}
 }
 
-func runDeploy(args []string) error {
+func runDeploy(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("honeycomb deploy", flag.ContinueOnError)
 	hiveURL := fs.String("hive", "http://127.0.0.1:8080", "hive base URL")
 	scriptPath := fs.String("script", "", "SenseScript task file")
@@ -74,7 +80,7 @@ func runDeploy(args []string) error {
 		PeriodSeconds: *period,
 		Sensors:       splitCSV(*sensors),
 	}
-	published, recruited, err := hc.Deploy(context.Background(), spec)
+	published, recruited, err := hc.Deploy(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -82,7 +88,7 @@ func runDeploy(args []string) error {
 	return nil
 }
 
-func runCollect(args []string) error {
+func runCollect(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("honeycomb collect", flag.ContinueOnError)
 	hiveURL := fs.String("hive", "http://127.0.0.1:8080", "hive base URL")
 	taskID := fs.String("task", "", "task id to collect")
@@ -100,7 +106,6 @@ func runCollect(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 	ups, err := hc.Collect(ctx, *taskID)
 	if err != nil {
 		return err
@@ -117,7 +122,7 @@ func runCollect(args []string) error {
 		if _, err := rand.Read(key); err != nil {
 			return fmt.Errorf("draw pseudonym key: %w", err)
 		}
-		release, sel, err := hc.PublishPrivate(ds, core.Config{
+		release, sel, err := hc.PublishPrivateContext(ctx, ds, core.Config{
 			MaxPOIExposure: *floor,
 			PseudonymKey:   key,
 		})

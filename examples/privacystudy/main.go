@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,7 +66,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		release, err := apisense.Protect(m, raw)
+		release, err := apisense.Protect(context.Background(), m, raw)
 		if err != nil {
 			return err
 		}

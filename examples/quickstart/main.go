@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,7 +58,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	release, selection, err := mw.Publish(raw)
+	release, selection, err := mw.PublishContext(context.Background(), raw)
 	if err != nil {
 		return err
 	}

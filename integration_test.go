@@ -120,7 +120,7 @@ func TestPlatformIntegration(t *testing.T) {
 	}
 
 	// 7. PRIVAPI release on top.
-	release, selection, err := hc.PublishPrivate(collected, PrivacyConfig{
+	release, selection, err := hc.PublishPrivateContext(context.Background(), collected, PrivacyConfig{
 		PseudonymKey: []byte("integration-release"),
 	})
 	if err != nil {

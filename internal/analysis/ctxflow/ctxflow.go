@@ -1,14 +1,11 @@
 // Package ctxflow enforces the facade's cancellation convention: library
 // code never synthesises its own context, and exported APIs that can
-// block give the caller a way to cancel — either a context.Context
-// parameter or an exported *Context sibling (the PublishContext /
-// EvaluateContext pattern of apisense.go and internal/core).
+// block take the caller's context.Context so the caller can cancel them.
 package ctxflow
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"apisense/internal/analysis"
 )
@@ -20,13 +17,12 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "Library code must not call context.Background or context.TODO — accept " +
 		"the caller's context. Exported APIs that block (channel ops, select, " +
 		"WaitGroup.Wait, time.Sleep, net/http round-trips) must take a " +
-		"context.Context or ship an exported <Name>Context sibling. Deliberate " +
-		"back-compat wrappers carry a //lint:allow ctxflow <reason>.",
+		"context.Context. A deliberate exception carries a " +
+		"//lint:allow ctxflow <reason>.",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	siblings := contextSiblings(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -44,63 +40,21 @@ func run(pass *analysis.Pass) error {
 				}
 				return true
 			})
-			checkBlockingAPI(pass, fd, siblings)
+			checkBlockingAPI(pass, fd)
 		}
 	}
 	return nil
 }
 
-// contextSiblings indexes the package's exported *Context functions and
-// methods as "Recv.Name" (functions use an empty Recv).
-func contextSiblings(pass *analysis.Pass) map[string]bool {
-	out := make(map[string]bool)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() || !strings.HasSuffix(fd.Name.Name, "Context") {
-				continue
-			}
-			out[recvTypeName(fd)+"."+fd.Name.Name] = true
-		}
-	}
-	return out
-}
-
-// recvTypeName returns the bare receiver type name of a method ("" for
-// plain functions).
-func recvTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if idx, ok := t.(*ast.IndexExpr); ok { // generic receiver
-		t = idx.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
 // checkBlockingAPI flags an exported, context-less function whose body
-// directly blocks, unless an exported <Name>Context sibling exists.
-func checkBlockingAPI(pass *analysis.Pass, fd *ast.FuncDecl, siblings map[string]bool) {
-	name := fd.Name.Name
-	if !fd.Name.IsExported() || strings.HasSuffix(name, "Context") {
-		return
-	}
-	if hasContextParam(pass, fd) {
-		return
-	}
-	if siblings[recvTypeName(fd)+"."+name+"Context"] {
+// directly blocks.
+func checkBlockingAPI(pass *analysis.Pass, fd *ast.FuncDecl) {
+	if !fd.Name.IsExported() || hasContextParam(pass, fd) {
 		return
 	}
 	if op := blockingOp(pass, fd.Body); op != "" {
 		pass.Reportf(fd.Name.Pos(),
-			"exported API %s blocks (%s) but offers no cancellation; accept a context.Context or add an exported %sContext sibling", name, op, name)
+			"exported API %s blocks (%s) but offers no cancellation; accept a context.Context", fd.Name.Name, op)
 	}
 }
 

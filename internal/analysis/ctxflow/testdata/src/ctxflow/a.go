@@ -18,21 +18,22 @@ func todo() context.Context {
 }
 
 func legacyRoot() context.Context {
-	//lint:allow ctxflow back-compat wrapper, callers migrate to DoContext
+	//lint:allow ctxflow the process root every call derives its context from
 	return context.Background()
 }
 
-// Wait blocks on the WaitGroup with no cancellation path and no sibling.
+// Wait blocks on the WaitGroup with no cancellation path.
 func Wait(wg *sync.WaitGroup) { // want "exported API Wait blocks \\(WaitGroup.Wait\\)"
 	wg.Wait()
 }
 
-// Sleep is allowed: SleepContext below is its cancellable sibling.
-func Sleep(d time.Duration) {
+// Sleep is flagged even beside SleepContext: a context-less twin of a
+// cancellable API still blocks its caller with no way out.
+func Sleep(d time.Duration) { // want "exported API Sleep blocks \\(time.Sleep\\)"
 	time.Sleep(d)
 }
 
-// SleepContext is the sibling that makes Sleep acceptable.
+// SleepContext takes a context: fine.
 func SleepContext(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()

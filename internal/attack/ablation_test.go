@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
 	"apisense/internal/geo"
@@ -45,7 +46,7 @@ func TestLinkageSurvivesSmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := lppm.ProtectDataset(sm, ds)
+	prot, err := lppm.ProtectDatasetContext(context.Background(), sm, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRecoveryMatchRadiusMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := lppm.ProtectDataset(gi, ds)
+	prot, err := lppm.ProtectDatasetContext(context.Background(), gi, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

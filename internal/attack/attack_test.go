@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -91,7 +92,7 @@ func TestRecoveryUnderSmoothingCollapsesPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := lppm.ProtectDataset(sm, ds)
+	prot, err := lppm.ProtectDatasetContext(context.Background(), sm, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestRecoveryUnderGeoIndSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := lppm.ProtectDataset(gi, ds)
+	prot, err := lppm.ProtectDatasetContext(context.Background(), gi, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -65,7 +66,7 @@ func TestHeatmapLinkageSurvivesSmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := lppm.ProtectDataset(sm, ds)
+	prot, err := lppm.ProtectDatasetContext(context.Background(), sm, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestHeatmapLinkageDegradesUnderHeavyNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := lppm.ProtectDataset(gi, ds)
+	prot, err := lppm.ProtectDatasetContext(context.Background(), gi, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

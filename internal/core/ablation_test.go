@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"apisense/internal/lppm"
@@ -24,7 +25,7 @@ func TestAttackRadiusSensitivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evals, err := m.Evaluate(ds)
+		evals, err := m.EvaluateContext(context.Background(), ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestPublishIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		release, sel, err := m.Publish(ds)
+		release, sel, err := m.PublishContext(context.Background(), ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestEvaluationReleasedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals, err := m.Evaluate(ds)
+	evals, err := m.EvaluateContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

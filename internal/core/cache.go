@@ -15,7 +15,7 @@ import (
 // Evaluation caching (see the package documentation of internal/evalcache
 // for the full design). This file holds the engine side of the wiring:
 // cache-key derivation, the caching attacker extractor, the selection
-// cache used by Publish/PublishSharded.
+// cache used by PublishContext/PublishShardedContext.
 //
 // Every key embeds a configuration fingerprint, so middlewares with
 // different objectives, floors, grids or portfolios sharing one cache can

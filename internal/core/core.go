@@ -6,7 +6,7 @@
 // The middleware is utility-driven: "there is not one unique anonymization
 // strategy that always performs well but many from which we can choose the
 // one that fits the best to the usage that will be done with the anonymized
-// dataset". Concretely, Publish:
+// dataset". Concretely, PublishContext:
 //
 //  1. derives the reference points of interest of every contributor from
 //     the raw dataset (the middleware, unlike an outside attacker, sees the
@@ -47,11 +47,11 @@
 //     parallelism;
 //   - memory is one trajectory in flight per worker, plus the winner,
 //     which is protected again once every strategy is scored to build the
-//     release (Evaluate protects nothing a second time); no protected
-//     dataset is built while scoring;
-//   - PublishContext and EvaluateContext accept a context.Context and
-//     abandon the run promptly when it is cancelled; Publish and Evaluate
-//     are background-context wrappers kept for convenience.
+//     release (EvaluateContext protects nothing a second time); no
+//     protected dataset is built while scoring;
+//   - PublishContext, EvaluateContext and PublishShardedContext take the
+//     caller's context.Context and abandon the run promptly when it is
+//     cancelled.
 //
 // # Sharded publication
 //

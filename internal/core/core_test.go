@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -81,7 +82,7 @@ func TestEvaluatePortfolio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals, err := m.Evaluate(fixture(t))
+	evals, err := m.EvaluateContext(context.Background(), fixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestPublishPicksSmoothingForCrowdedPlaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release, sel, err := m.Publish(fixture(t))
+	release, sel, err := m.PublishContext(context.Background(), fixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestPublishObjectiveChangesChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sel, err := m.Publish(ds)
+	_, sel, err := m.PublishContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestPublishNoStrategyMeetsFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sel, err := m.Publish(fixture(t))
+	_, sel, err := m.PublishContext(context.Background(), fixture(t))
 	if !errors.Is(err, ErrNoStrategy) {
 		t.Fatalf("err = %v, want ErrNoStrategy", err)
 	}
@@ -185,7 +186,7 @@ func TestPublishEmptyDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Publish(trace.NewDataset()); err == nil {
+	if _, _, err := m.PublishContext(context.Background(), trace.NewDataset()); err == nil {
 		t.Error("publishing an empty dataset should fail")
 	}
 }
@@ -195,7 +196,7 @@ func TestTrafficObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals, err := m.Evaluate(fixture(t))
+	evals, err := m.EvaluateContext(context.Background(), fixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}

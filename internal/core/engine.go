@@ -297,13 +297,6 @@ func (m *Middleware) EvaluateContext(ctx context.Context, raw *trace.Dataset) (e
 	return m.evaluateAll(ctx, raw, m.hashContent(raw).trajectories, m.cfg.Parallelism)
 }
 
-// Evaluate scores every candidate strategy against the raw dataset. It is
-// EvaluateContext with a background context.
-func (m *Middleware) Evaluate(raw *trace.Dataset) ([]Evaluation, error) {
-	//lint:allow ctxflow convenience wrapper, EvaluateContext is the cancellable form
-	return m.EvaluateContext(context.Background(), raw)
-}
-
 // selectStrategies is the cached selection step shared by PublishContext
 // and publishShard: score the portfolio, pick the winner and protect raw
 // with it a second time to build the release — the scoring passes keep no
@@ -402,10 +395,4 @@ func (m *Middleware) PublishContext(ctx context.Context, raw *trace.Dataset) (_ 
 		return nil, sel, err
 	}
 	return release, sel, nil
-}
-
-// Publish is PublishContext with a background context.
-func (m *Middleware) Publish(raw *trace.Dataset) (*trace.Dataset, *Selection, error) {
-	//lint:allow ctxflow convenience wrapper, PublishContext is the cancellable form
-	return m.PublishContext(context.Background(), raw)
 }

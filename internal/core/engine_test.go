@@ -55,7 +55,7 @@ func TestEvaluateContextMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := m.Evaluate(ds)
+	a, err := m.EvaluateContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestEvaluateProtectsEachTrajectoryOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Evaluate(ds); err != nil {
+		if _, err := m.EvaluateContext(context.Background(), ds); err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range []*countingMechanism{a, b} {
@@ -168,7 +168,7 @@ func TestPublishProtectsWinnerTwice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, sel, err := m.Publish(ds)
+		_, sel, err := m.PublishContext(context.Background(), ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +203,11 @@ func TestRangeSplitMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rel, sel, err := m.Publish(ds)
+			rel, sel, err := m.PublishContext(context.Background(), ds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srel, ssel, err := m.PublishSharded(ds, policy)
+			srel, ssel, err := m.PublishShardedContext(context.Background(), ds, policy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,11 +236,11 @@ func TestReleaseSurvivesNextPublication(t *testing.T) {
 		var kept []*trace.Dataset
 		var hashes [][trace.HashSize]byte
 		for _, in := range []*trace.Dataset{ds, grown(ds), ds, shifted(ds, 1)} {
-			rel, _, err := m.Publish(in)
+			rel, _, err := m.PublishContext(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srel, _, err := m.PublishSharded(in, policy)
+			srel, _, err := m.PublishShardedContext(context.Background(), in, policy)
 			if err != nil {
 				t.Fatal(err)
 			}

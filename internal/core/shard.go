@@ -412,9 +412,3 @@ func (m *Middleware) PublishShardedContext(ctx context.Context, raw *trace.Datas
 	}
 	return release, sel, nil
 }
-
-// PublishSharded is PublishShardedContext with a background context.
-func (m *Middleware) PublishSharded(raw *trace.Dataset, by ShardBy) (*trace.Dataset, *ShardedSelection, error) {
-	//lint:allow ctxflow convenience wrapper, PublishShardedContext is the cancellable form
-	return m.PublishShardedContext(context.Background(), raw, by)
-}

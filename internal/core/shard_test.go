@@ -336,10 +336,10 @@ func TestPublishShardedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.PublishSharded(fixture(t), nil); err == nil {
+	if _, _, err := m.PublishShardedContext(context.Background(), fixture(t), nil); err == nil {
 		t.Error("nil policy should fail")
 	}
-	if _, _, err := m.PublishSharded(trace.NewDataset(), mustPolicy(t)(NewShardByCell(1000))); err == nil {
+	if _, _, err := m.PublishShardedContext(context.Background(), trace.NewDataset(), mustPolicy(t)(NewShardByCell(1000))); err == nil {
 		t.Error("empty dataset should fail")
 	}
 }

@@ -3,7 +3,8 @@
 // C1–C3; the others cover the platform pipeline, the device-side filters
 // and sharded publication. The runners are shared by the cmd/experiments
 // binary and the root-level benchmarks, and all take an explicit seed so
-// results are reproducible.
+// results are reproducible. Every runner takes the caller's context and is
+// abandoned at its next cancellation point once that context is cancelled.
 //
 // The tables judge a release as the PRIVAPI middleware does: with core's
 // simulated attacker (core.NewAttack) and the utility scorecard of one
@@ -13,6 +14,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -163,7 +165,7 @@ func fmtF(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // E1POIRecovery runs experiment E1 (claim C1): POI recovery under
 // geo-indistinguishability across privacy budgets.
-func E1POIRecovery(w *Workload) (*Table, error) {
+func E1POIRecovery(ctx context.Context, w *Workload) (*Table, error) {
 	t := &Table{
 		ID:      "E1",
 		Title:   "POI recovery under geo-indistinguishability (claim C1: >=60% at practical budgets)",
@@ -178,7 +180,7 @@ func E1POIRecovery(w *Workload) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		release, err := lppm.ProtectDataset(gi, w.Raw)
+		release, err := lppm.ProtectDatasetContext(ctx, gi, w.Raw, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +196,7 @@ func E1POIRecovery(w *Workload) (*Table, error) {
 
 // E2SpeedSmoothing runs experiment E2 (claim C2): POI exposure across the
 // full mechanism portfolio, including the paper's speed smoothing.
-func E2SpeedSmoothing(w *Workload) (*Table, error) {
+func E2SpeedSmoothing(ctx context.Context, w *Workload) (*Table, error) {
 	t := &Table{
 		ID:      "E2",
 		Title:   "POI exposure per mechanism (claim C2: smoothing hides stops)",
@@ -209,7 +211,7 @@ func E2SpeedSmoothing(w *Workload) (*Table, error) {
 		return nil, err
 	}
 	for _, m := range portfolio {
-		release, err := lppm.ProtectDataset(m, w.Raw)
+		release, err := lppm.ProtectDatasetContext(ctx, m, w.Raw, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +226,7 @@ func E2SpeedSmoothing(w *Workload) (*Table, error) {
 
 // E3Linkage runs experiment E3: POI-profile re-identification accuracy per
 // mechanism, with a weekday train/test split.
-func E3Linkage(w *Workload) (*Table, error) {
+func E3Linkage(ctx context.Context, w *Workload) (*Table, error) {
 	t := &Table{
 		ID:      "E3",
 		Title:   "User re-identification by POI profiles (train: week 1, test: rest)",
@@ -261,7 +263,7 @@ func E3Linkage(w *Workload) (*Table, error) {
 		return nil, err
 	}
 	for _, m := range portfolio {
-		release, err := lppm.ProtectDataset(m, test)
+		release, err := lppm.ProtectDatasetContext(ctx, m, test, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +279,7 @@ func E3Linkage(w *Workload) (*Table, error) {
 // E4CrowdedPlaces runs experiment E4 (claim C3): top-20 crowded-cell
 // overlap, cell coverage and origin/destination-flow similarity per
 // mechanism.
-func E4CrowdedPlaces(w *Workload) (*Table, error) {
+func E4CrowdedPlaces(ctx context.Context, w *Workload) (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "Crowded-places utility: top-20 hotspot overlap (claim C3)",
@@ -289,7 +291,7 @@ func E4CrowdedPlaces(w *Workload) (*Table, error) {
 		return nil, err
 	}
 	for _, m := range portfolio {
-		release, err := lppm.ProtectDataset(m, w.Raw)
+		release, err := lppm.ProtectDatasetContext(ctx, m, w.Raw, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +304,7 @@ func E4CrowdedPlaces(w *Workload) (*Table, error) {
 
 // E5Traffic runs experiment E5 (claim C3): traffic forecasting error when
 // training on protected data.
-func E5Traffic(w *Workload) (*Table, error) {
+func E5Traffic(ctx context.Context, w *Workload) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "Traffic forecasting: historical-average MAE on held-out raw day (claim C3)",
@@ -322,7 +324,7 @@ func E5Traffic(w *Workload) (*Table, error) {
 		return nil, err
 	}
 	for _, m := range portfolio {
-		release, err := lppm.ProtectDataset(m, w.Raw)
+		release, err := lppm.ProtectDatasetContext(ctx, m, w.Raw, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -19,7 +19,7 @@ import (
 
 // E6Frontier runs experiment E6: the privacy-utility frontier sweep that
 // motivates PRIVAPI's "not one unique strategy" position.
-func E6Frontier(w *Workload) (*Table, error) {
+func E6Frontier(ctx context.Context, w *Workload) (*Table, error) {
 	t := &Table{
 		ID:      "E6",
 		Title:   "Privacy-utility frontier (exposure f1 vs hotspot overlap)",
@@ -42,7 +42,7 @@ func E6Frontier(w *Workload) (*Table, error) {
 		sweep = append(sweep, sm)
 	}
 	for _, m := range sweep {
-		release, err := lppm.ProtectDataset(m, w.Raw)
+		release, err := lppm.ProtectDatasetContext(ctx, m, w.Raw, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -199,8 +199,9 @@ func E8Platform(ctx context.Context, w *Workload, fleetSizes []int) (*Table, err
 }
 
 // E11Filters runs experiment E11: effect of the device-side privacy layer
-// on what leaves the phone and on POI recovery.
-func E11Filters(w *Workload) (*Table, error) {
+// on what leaves the phone and on POI recovery. ctx is checked before each
+// filter row.
+func E11Filters(ctx context.Context, w *Workload) (*Table, error) {
 	t := &Table{
 		ID:      "E11",
 		Title:   "Device-side privacy layer: kept records and home exposure",
@@ -233,6 +234,9 @@ func E11Filters(w *Workload) (*Table, error) {
 		}},
 	}
 	for _, b := range builders {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		uploads := make([]transport.Upload, 0, n)
 		var kept, dropped int
 		for _, res := range w.City.Residents[:n] {

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"strconv"
@@ -58,7 +59,7 @@ func TestNewWorkloadValidation(t *testing.T) {
 }
 
 func TestE1ShapeMatchesClaimC1(t *testing.T) {
-	tab, err := E1POIRecovery(workload(t))
+	tab, err := E1POIRecovery(context.Background(), workload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestE1ShapeMatchesClaimC1(t *testing.T) {
 }
 
 func TestE2ShapeMatchesClaimC2(t *testing.T) {
-	tab, err := E2SpeedSmoothing(workload(t))
+	tab, err := E2SpeedSmoothing(context.Background(), workload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestE2ShapeMatchesClaimC2(t *testing.T) {
 }
 
 func TestE3LinkageShape(t *testing.T) {
-	tab, err := E3Linkage(workload(t))
+	tab, err := E3Linkage(context.Background(), workload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestE3LinkageShape(t *testing.T) {
 }
 
 func TestE4CrowdedPlacesShape(t *testing.T) {
-	tab, err := E4CrowdedPlaces(workload(t))
+	tab, err := E4CrowdedPlaces(context.Background(), workload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestE4CrowdedPlacesShape(t *testing.T) {
 }
 
 func TestE5TrafficShape(t *testing.T) {
-	tab, err := E5Traffic(workload(t))
+	tab, err := E5Traffic(context.Background(), workload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestE5TrafficShape(t *testing.T) {
 }
 
 func TestE6FrontierShape(t *testing.T) {
-	tab, err := E6Frontier(workload(t))
+	tab, err := E6Frontier(context.Background(), workload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestE8SkipsRepeatedFleetSizes(t *testing.T) {
 }
 
 func TestE11FiltersShape(t *testing.T) {
-	tab, err := E11Filters(workload(t))
+	tab, err := E11Filters(context.Background(), workload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +283,28 @@ func TestE11FiltersShape(t *testing.T) {
 	zoneDropped, _ := strconv.Atoi(rows["home-zone-500m"][2])
 	if zoneDropped == 0 {
 		t.Error("home zone dropped nothing")
+	}
+}
+
+// TestTablesStopWhenCancelled: every table cmd/experiments runs returns
+// the cancellation of its context instead of finishing the table.
+func TestTablesStopWhenCancelled(t *testing.T) {
+	w := workload(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	runners := map[string]func(context.Context, *Workload) (*Table, error){
+		"E1": E1POIRecovery, "E2": E2SpeedSmoothing, "E3": E3Linkage,
+		"E4": E4CrowdedPlaces, "E5": E5Traffic, "E6": E6Frontier,
+		"E7": E7Selection,
+		"E8": func(ctx context.Context, w *Workload) (*Table, error) {
+			return E8Platform(ctx, w, []int{3})
+		},
+		"E11": E11Filters, "E13": E13Sharding,
+	}
+	for id, run := range runners {
+		if _, err := run(ctx, w); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a cancelled context: err = %v, want context.Canceled", id, err)
+		}
 	}
 }
 
@@ -348,7 +371,7 @@ func TestTablesJudgeLikeCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev := evals[0]
-		release, err := lppm.ProtectDataset(m, w.Raw)
+		release, err := lppm.ProtectDatasetContext(context.Background(), m, w.Raw, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

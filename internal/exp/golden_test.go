@@ -18,19 +18,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite internal/exp/testd
 // cell (E1–E7 and E11) on the shared seed-101 12×9 workload.
 func TestTablesMatchGolden(t *testing.T) {
 	w := workload(t)
-	runners := []func() (*Table, error){
-		func() (*Table, error) { return E1POIRecovery(w) },
-		func() (*Table, error) { return E2SpeedSmoothing(w) },
-		func() (*Table, error) { return E3Linkage(w) },
-		func() (*Table, error) { return E4CrowdedPlaces(w) },
-		func() (*Table, error) { return E5Traffic(w) },
-		func() (*Table, error) { return E6Frontier(w) },
-		func() (*Table, error) { return E7Selection(context.Background(), w) },
-		func() (*Table, error) { return E11Filters(w) },
+	runners := []func(context.Context, *Workload) (*Table, error){
+		E1POIRecovery, E2SpeedSmoothing, E3Linkage, E4CrowdedPlaces,
+		E5Traffic, E6Frontier, E7Selection, E11Filters,
 	}
 	var buf bytes.Buffer
 	for _, run := range runners {
-		tab, err := run()
+		tab, err := run(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}

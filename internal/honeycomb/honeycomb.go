@@ -120,18 +120,12 @@ func UploadsToDataset(ups []transport.Upload, deviceUser map[string]string) *tra
 	return ds
 }
 
-// PublishPrivate runs the PRIVAPI middleware over a collected dataset and
-// returns the protected release plus the strategy selection report. This is
-// the integration point the paper describes: "PRIVAPI is a middleware
-// handling privacy-preserving publication of mobility data ... that can be
-// easily integrated on-top of APISENSE".
-func (h *Honeycomb) PublishPrivate(raw *trace.Dataset, cfg core.Config) (*trace.Dataset, *core.Selection, error) {
-	//lint:allow ctxflow convenience wrapper, PublishPrivateContext is the cancellable form
-	return h.PublishPrivateContext(context.Background(), raw, cfg)
-}
-
-// PublishPrivateContext is PublishPrivate with a caller-supplied context:
-// long publications are abandoned promptly when ctx is cancelled.
+// PublishPrivateContext runs the PRIVAPI middleware over a collected
+// dataset and returns the protected release plus the strategy selection
+// report. This is the integration point the paper describes: "PRIVAPI is a
+// middleware handling privacy-preserving publication of mobility data ...
+// that can be easily integrated on-top of APISENSE". Long publications are
+// abandoned promptly when ctx is cancelled.
 func (h *Honeycomb) PublishPrivateContext(ctx context.Context, raw *trace.Dataset, cfg core.Config) (*trace.Dataset, *core.Selection, error) {
 	mw, err := h.middleware(raw, cfg)
 	if err != nil {

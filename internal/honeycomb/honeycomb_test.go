@@ -175,7 +175,7 @@ func TestPublishPrivateIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release, sel, err := hc.PublishPrivate(ds, core.Config{PseudonymKey: []byte("r1")})
+	release, sel, err := hc.PublishPrivateContext(context.Background(), ds, core.Config{PseudonymKey: []byte("r1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPublishPrivateIntegration(t *testing.T) {
 		}
 	}
 	// Publishing an empty dataset fails cleanly.
-	if _, _, err := hc.PublishPrivate(trace.NewDataset(), core.Config{}); err == nil {
+	if _, _, err := hc.PublishPrivateContext(context.Background(), trace.NewDataset(), core.Config{}); err == nil {
 		t.Error("empty dataset should fail")
 	}
 }

@@ -185,8 +185,8 @@ func New(sink Sink, cfg Config) *Queue {
 // RetryAfter is the backoff hint for producers rejected with ErrQueueFull.
 func (q *Queue) RetryAfter() time.Duration { return q.cfg.RetryAfter }
 
-// Closed reports whether intake has stopped (Close or CloseContext was
-// called): new Submits fail with ErrClosed. The readiness probe
+// Closed reports whether intake has stopped (Close was called): new
+// Submits fail with ErrClosed. The readiness probe
 // (GET /readyz) uses it to take a draining instance out of rotation.
 func (q *Queue) Closed() bool {
 	q.mu.RLock()
@@ -261,31 +261,12 @@ func (q *Queue) Submit(ctx context.Context, ups []transport.Upload) ([]error, er
 }
 
 // Close stops intake, drains every batch already queued, and blocks until
-// the workers exit. Safe to call more than once. Use CloseContext to bound
-// how long the caller waits for the drain.
-func (q *Queue) Close() {
+// the workers exit. Safe to call more than once. It takes no deadline: a
+// producer blocked in Submit is owed its batch's verdict, so the wait ends
+// only when the drain does.
+func (q *Queue) Close() { //lint:allow ctxflow shutdown owes every queued batch its verdict, so the drain wait takes no deadline
 	q.stopIntake()
 	q.wg.Wait()
-}
-
-// CloseContext is Close with a deadline on the wait: intake stops
-// immediately either way, but the caller stops waiting for the drain when
-// ctx expires. The workers keep draining the already-queued batches in the
-// background regardless, so producers blocked in Submit still get their
-// verdicts. Returns ctx.Err when the deadline cut the wait short.
-func (q *Queue) CloseContext(ctx context.Context) error {
-	q.stopIntake()
-	done := make(chan struct{})
-	go func() {
-		q.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // stopIntake marks the queue closed and wakes the workers; idempotent.

@@ -303,42 +303,6 @@ func TestCloseDrainsAndRejectsNewWork(t *testing.T) {
 	}
 }
 
-// TestCloseContextDeadline: a drain stuck in the sink makes CloseContext
-// give up with ctx.Err, while the workers finish in the background; once
-// the sink unblocks, a second CloseContext observes the completed drain.
-func TestCloseContextDeadline(t *testing.T) {
-	gate := make(chan struct{})
-	sink := &gatedSink{Sink: &fakeSink{}, gate: gate}
-	q := ingest.New(sink, ingest.Config{Capacity: 2, Workers: 1})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := q.Submit(context.Background(), []transport.Upload{up("ok", "x")}); err != nil {
-			t.Error(err)
-		}
-	}()
-	for sink.parked.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if err := q.CloseContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("CloseContext with parked worker = %v, want DeadlineExceeded", err)
-	}
-
-	close(gate)
-	wg.Wait()
-	if err := q.CloseContext(context.Background()); err != nil {
-		t.Fatalf("CloseContext after drain = %v", err)
-	}
-	if st := q.Stats(); st.Accepted != 1 {
-		t.Errorf("stats after close = %+v", st)
-	}
-}
-
 // TestSubmitContextCancelled: a cancelled caller is turned away before the
 // enqueue with nothing admitted; a batch that made it into the queue is
 // always committed and its verdicts delivered, even if the ctx fires while

@@ -46,15 +46,6 @@ type Mechanism interface {
 	Protect(dst []trace.Record, t *trace.Trajectory) ([]trace.Record, error)
 }
 
-// ProtectDataset applies m to every trajectory of d and returns the
-// protected dataset. Suppressed (empty) trajectories are omitted. It is
-// equivalent to ProtectDatasetContext with a background context and one
-// worker per CPU.
-func ProtectDataset(m Mechanism, d *trace.Dataset) (*trace.Dataset, error) {
-	//lint:allow ctxflow convenience wrapper, ProtectDatasetContext is the cancellable form
-	return ProtectDatasetContext(context.Background(), m, d, runtime.GOMAXPROCS(0))
-}
-
 // ProtectDatasetContext applies m to every trajectory of d on up to
 // parallelism worker goroutines and returns the protected dataset.
 // Trajectories are embarrassingly parallel: every mechanism derives its

@@ -1,6 +1,7 @@
 package lppm
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -261,7 +262,7 @@ func TestProtectDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ProtectDataset(sm, d)
+	out, err := ProtectDatasetContext(context.Background(), sm, d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

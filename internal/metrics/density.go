@@ -31,17 +31,6 @@ func UserDensity(d *trace.Dataset, g *geo.Grid) Density {
 	return out
 }
 
-// FixDensity counts the number of fixes in each cell.
-func FixDensity(d *trace.Dataset, g *geo.Grid) Density {
-	out := make(Density)
-	for _, t := range d.Trajectories {
-		for _, r := range t.Records {
-			out[g.CellOf(r.Pos)]++
-		}
-	}
-	return out
-}
-
 // scoredCell is one entry of a density in the form the ranking works on.
 type scoredCell struct {
 	cell  geo.Cell

@@ -3,7 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"apisense/internal/geo"
 	"apisense/internal/trace"
@@ -38,30 +38,6 @@ func FlowMatrix(d *trace.Dataset, g *geo.Grid) map[Flow]float64 {
 	return out
 }
 
-// TopFlows returns the k heaviest flows, ties broken deterministically.
-func TopFlows(m map[Flow]float64, k int) []Flow {
-	flows := make([]Flow, 0, len(m))
-	for f := range m {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		a, b := flows[i], flows[j]
-		if m[a] != m[b] {
-			return m[a] > m[b]
-		}
-		if a.From != b.From {
-			return lessCell(a.From, b.From)
-		}
-		return lessCell(a.To, b.To)
-	})
-	if len(flows) > k {
-		flows = flows[:k]
-	}
-	return flows
-}
-
-func lessCell(a, b geo.Cell) bool { return compareCell(a, b) < 0 }
-
 // FlowSimilarity compares two flow matrices with cosine similarity over
 // the union of flows: 1 means the protected release preserves the
 // origin/destination structure exactly. The folds run over sorted flows so
@@ -91,11 +67,11 @@ func sortedFlows(m map[Flow]float64) []Flow {
 	for f := range m {
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].From != flows[j].From {
-			return lessCell(flows[i].From, flows[j].From)
+	slices.SortFunc(flows, func(a, b Flow) int {
+		if a.From != b.From {
+			return compareCell(a.From, b.From)
 		}
-		return lessCell(flows[i].To, flows[j].To)
+		return compareCell(a.To, b.To)
 	})
 	return flows
 }

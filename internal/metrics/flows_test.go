@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -33,21 +34,6 @@ func TestFlowMatrixCountsTransitions(t *testing.T) {
 	}
 	if ab.String() == "" {
 		t.Error("empty Flow.String")
-	}
-}
-
-func TestTopFlowsOrdering(t *testing.T) {
-	m := map[Flow]float64{
-		{From: geo.Cell{Row: 1}, To: geo.Cell{Row: 2}}: 5,
-		{From: geo.Cell{Row: 3}, To: geo.Cell{Row: 4}}: 9,
-		{From: geo.Cell{Row: 5}, To: geo.Cell{Row: 6}}: 1,
-	}
-	top := TopFlows(m, 2)
-	if len(top) != 2 || m[top[0]] != 9 || m[top[1]] != 5 {
-		t.Errorf("TopFlows = %v", top)
-	}
-	if got := TopFlows(m, 10); len(got) != 3 {
-		t.Errorf("TopFlows(10) = %d entries", len(got))
 	}
 }
 
@@ -84,7 +70,7 @@ func TestFlowStructureSurvivesSmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smoothed, err := lppm.ProtectDataset(sm, ds)
+	smoothed, err := lppm.ProtectDatasetContext(context.Background(), sm, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +78,7 @@ func TestFlowStructureSurvivesSmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := lppm.ProtectDataset(gi, ds)
+	noisy, err := lppm.ProtectDatasetContext(context.Background(), gi, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

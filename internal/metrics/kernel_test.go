@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -162,7 +163,7 @@ func TestKernelMatchesReferenceOnPortfolio(t *testing.T) {
 	raw, city, g, cut := analysisSetup(t, mobgen.Config{Seed: 12, Users: 6, Days: 3, Dropout: 0.2})
 	for _, m := range defaultPortfolio(t, city.Center) {
 		t.Run(m.Name(), func(t *testing.T) {
-			prot, err := lppm.ProtectDataset(m, raw)
+			prot, err := lppm.ProtectDatasetContext(context.Background(), m, raw, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -539,7 +540,7 @@ func TestScoreIndependentOfOrder(t *testing.T) {
 	view := NewRawView(raw, g, 20, cut)
 	rng := rand.New(rand.NewSource(11))
 	for _, m := range defaultPortfolio(t, city.Center) {
-		prot, err := lppm.ProtectDataset(m, raw)
+		prot, err := lppm.ProtectDatasetContext(context.Background(), m, raw, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,7 +606,7 @@ func TestScorerPartitionsMatchScore(t *testing.T) {
 	raw, city, g, cut := analysisSetup(t, mobgen.Config{Seed: 5, Users: 8, Days: 3})
 	view := NewRawView(raw, g, 20, cut)
 	for _, m := range defaultPortfolio(t, city.Center) {
-		prot, err := lppm.ProtectDataset(m, raw)
+		prot, err := lppm.ProtectDatasetContext(context.Background(), m, raw, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -659,7 +660,7 @@ func BenchmarkScore(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, m := range []lppm.Mechanism{smoothing, geoind} {
-		prot, err := lppm.ProtectDataset(m, raw)
+		prot, err := lppm.ProtectDatasetContext(context.Background(), m, raw, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

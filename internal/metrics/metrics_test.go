@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -60,10 +61,6 @@ func TestUserDensityCountsDistinctUsers(t *testing.T) {
 	den := UserDensity(d, g)
 	if got := den[g.CellOf(hot)]; got != 5 {
 		t.Errorf("hot cell density = %v, want 5", got)
-	}
-	fixDen := FixDensity(d, g)
-	if got := fixDen[g.CellOf(hot)]; got != 5*60 {
-		t.Errorf("hot cell fix density = %v, want 300", got)
 	}
 }
 
@@ -131,7 +128,7 @@ func TestCrowdedPlacesSurviveSmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := lppm.ProtectDataset(sm, ds)
+	prot, err := lppm.ProtectDatasetContext(context.Background(), sm, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +308,7 @@ func TestSpatialDistortionOrdersMechanisms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prot, err := lppm.ProtectDataset(m, ds)
+		prot, err := lppm.ProtectDatasetContext(context.Background(), m, ds, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package poi
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -65,7 +66,7 @@ func TestStayPointsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range portfolio(t, city.Center) {
-			rel, err := lppm.ProtectDataset(m, raw)
+			rel, err := lppm.ProtectDatasetContext(context.Background(), m, raw, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +241,7 @@ func BenchmarkStayPoints(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, m := range []lppm.Mechanism{lppm.Identity{}, smoothing, geoind} {
-		rel, err := lppm.ProtectDataset(m, raw)
+		rel, err := lppm.ProtectDatasetContext(context.Background(), m, raw, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
