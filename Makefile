@@ -54,8 +54,10 @@ bench:
 bench-quick:
 	$(GO) run ./bench -seed 1 -out /dev/null -quick
 
-# fuzz-smoke runs each fuzz target for 10 s, as CI does. The snapshot
-# seeds are KBs long, so minimisation is capped or it takes the whole run.
+# fuzz-smoke runs each fuzz target for 10 s; CI runs this target. The
+# snapshot seeds are whole snapshots (KBs): without a minimisation cap the
+# 10 s would go to minimising the first inputs that add coverage.
+# FuzzParse is seeded with a nested script past the parser's depth limit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreMatchesReference$$' -fuzztime=10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/hive/

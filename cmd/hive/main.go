@@ -132,16 +132,15 @@ func run(args []string) error {
 			Capacity: *queueSize,
 			MaxBatch: *maxBatch,
 			Workers:  *drainWorkers,
-			Metrics:  ingest.NewMetrics(reg), // nil reg = disabled
-			Tracer:   tracer,                 // nil = disabled
+			Tracer:   tracer, // nil = disabled
 		})
 		opts = append(opts, hive.WithIngestQueue(q))
 		log.Printf("ingest queue: %d batch slots, %d drain workers, group commits of <= %d uploads",
 			*queueSize, *drainWorkers, *maxBatch)
 	}
 	if reg != nil {
-		// BindHive (inside NewServer) picks up the store series too,
-		// since the store is already attached to h here.
+		// NewServer binds the store series (the store is already
+		// attached to h here) and the queue series onto this registry.
 		opts = append(opts, hive.WithMetrics(hive.NewMetrics(reg)))
 		log.Printf("metrics: serving Prometheus text format at GET /metrics")
 	}

@@ -154,20 +154,15 @@ type Config struct {
 	// serves stale results. Warm reports and releases are byte-identical
 	// to cold ones on any input, changed or not.
 	Cache evalcache.Cache
-	// Metrics, when non-nil, threads latency histograms through the hot
-	// paths (Publish/PublishSharded/Evaluate runs, per-shard selection,
-	// per-strategy evaluation — see NewEngineMetrics). nil — the zero
-	// value — disables instrumentation with no clock reads and no
-	// allocation. Observations never change results: reports stay
-	// byte-identical at any parallelism whether metrics are on or off.
-	Metrics *EngineMetrics
 	// Tracer, when non-nil, records a span tree per publication run:
 	// partitioning, per-shard selection, per-strategy evaluation with the
 	// POI-recovery attack, selection-cache hits, and the final merge (see
-	// internal/otrace). nil — the zero value — disables
-	// tracing with no clock reads. Like Metrics, tracing never changes
-	// results: reports and releases stay byte-identical at any
-	// parallelism whether tracing is on or off.
+	// internal/otrace). These spans are the engine's only
+	// instrumentation: they time every stage, and /debug/traces and
+	// bench --trace read them. nil — the zero value — disables tracing
+	// with no clock reads. Tracing never changes results: reports and
+	// releases stay byte-identical at any parallelism whether tracing is
+	// on or off.
 	Tracer *otrace.Tracer
 }
 

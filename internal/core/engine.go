@@ -145,8 +145,6 @@ func (m *Middleware) putScratch(sc *scratch) {
 // (users are disjoint, so the merge is exact). The core.attack span then
 // merges each user's stays into places and matches them.
 func (m *Middleware) evaluateStrategy(ctx context.Context, ec *evalContext, s lppm.Mechanism, parallelism int) (ev Evaluation, err error) {
-	t0 := m.cfg.Metrics.start()
-	defer m.cfg.Metrics.observeStrategy(t0)
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.strategy", otrace.String("strategy", s.Name()))
 	defer func() { endSpan(sp, err) }()
 	users := len(ec.users)
@@ -288,8 +286,6 @@ func bestStrategy(evals []Evaluation) int {
 // Config.Parallelism; evaluations appear in portfolio order. The run is
 // abandoned promptly when ctx is cancelled.
 func (m *Middleware) EvaluateContext(ctx context.Context, raw *trace.Dataset) (evals []Evaluation, err error) {
-	t0 := m.cfg.Metrics.start()
-	defer m.cfg.Metrics.observeEvaluate(t0)
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.evaluate")
 	defer func() { endSpan(sp, err) }()
 	// No selection caching: Evaluate is a pure scorecard. It still benefits
@@ -373,8 +369,6 @@ func (m *Middleware) scorecard(evals []Evaluation) []Evaluation {
 // returns ErrNoStrategy and a selection whose Chosen field is empty. The
 // run is abandoned promptly when ctx is cancelled.
 func (m *Middleware) PublishContext(ctx context.Context, raw *trace.Dataset) (_ *trace.Dataset, _ *Selection, err error) {
-	t0 := m.cfg.Metrics.start()
-	defer m.cfg.Metrics.observePublish(t0)
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.publish")
 	defer func() { endSpan(sp, err) }()
 	cs, err := m.selectStrategies(ctx, raw, m.cfg.Parallelism)

@@ -284,8 +284,6 @@ type ShardedSelection struct {
 // Selection is cached per shard-content hash (see selectStrategies), so an
 // incremental re-publication only evaluates the shards whose data changed.
 func (m *Middleware) publishShard(ctx context.Context, sh Shard, budget int) (_ *cachedSelection, err error) {
-	t0 := m.cfg.Metrics.start()
-	defer m.cfg.Metrics.observeShard(t0)
 	// Shard keys are policy-derived (grid cells, time windows, hash
 	// buckets), never user identifiers, so they are telemetry-safe.
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.shard", otrace.String("key", sh.Key))
@@ -318,8 +316,6 @@ func (m *Middleware) publishShard(ctx context.Context, sh Shard, budget int) (_ 
 // byte-identical for any Config.Parallelism. The run is abandoned promptly
 // when ctx is cancelled.
 func (m *Middleware) PublishShardedContext(ctx context.Context, raw *trace.Dataset, by ShardBy) (_ *trace.Dataset, _ *ShardedSelection, err error) {
-	t0 := m.cfg.Metrics.start()
-	defer m.cfg.Metrics.observePublish(t0)
 	if by == nil {
 		return nil, nil, fmt.Errorf("core: a shard policy is required (use PublishContext for monolithic releases)")
 	}

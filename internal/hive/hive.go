@@ -97,7 +97,8 @@ type Hive struct {
 	metaMu sync.Mutex
 
 	// metrics, when bound (see Metrics.BindHive), counts admitted uploads
-	// per task. Atomic so late binding never races SubmitBatch.
+	// per task and, with a queue bound, times each group commit. Atomic so
+	// late binding never races SubmitBatch.
 	metrics atomic.Pointer[Metrics]
 
 	// tracer, when set (see SetTracer), records store.append spans per
@@ -346,14 +347,22 @@ func (h *Hive) SubmitBatch(ups []transport.Upload) []error {
 // an upload's trace extends through the ingest queue down to its fsync.
 // Admission semantics are identical to SubmitBatch; the commit itself
 // never aborts on ctx (acknowledged durability is all-or-nothing per
-// shard).
+// shard). On a Hive served with WithMetrics and WithIngestQueue each call
+// is one group commit: its latency, snapshot fold included, and its size
+// land on the apisense_ingest_drain_seconds and
+// apisense_ingest_group_size_uploads histograms.
 func (h *Hive) SubmitBatchContext(ctx context.Context, ups []transport.Upload) []error {
-	errs := h.submitBatch(ctx, ups)
+	m := h.metrics.Load()
+	t0 := m.startDrain()
+	errs := h.submitBatch(ctx, m, ups)
 	h.maybeSnapshot()
+	m.observeDrain(t0, len(ups))
 	return errs
 }
 
-func (h *Hive) submitBatch(ctx context.Context, ups []transport.Upload) []error {
+// submitBatch admits and journals ups; m, when non-nil, counts the
+// admitted uploads per task.
+func (h *Hive) submitBatch(ctx context.Context, m *Metrics, ups []transport.Upload) []error {
 	errs := make([]error, len(ups))
 	if len(ups) == 0 {
 		return errs
@@ -466,7 +475,7 @@ func (h *Hive) submitBatch(ctx context.Context, ups []transport.Upload) []error 
 			}
 		}
 	}
-	if m := h.metrics.Load(); m != nil {
+	if m != nil {
 		for _, i := range admitted {
 			if errs[i] == nil {
 				m.taskUploads.With(ups[i].TaskID).Inc()

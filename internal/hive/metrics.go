@@ -4,13 +4,16 @@ import (
 	"strconv"
 	"time"
 
+	"apisense/internal/ingest"
 	"apisense/internal/obs"
 )
 
 // Metrics instruments the Hive HTTP surface and registry state for the
 // /metrics endpoint. Build one with NewMetrics, hand it to NewServer via
 // WithMetrics, and the server wires everything else: registry gauges,
-// store series and per-route HTTP request/latency/error-code counters.
+// store series, ingest queue series (with WithIngestQueue) and per-route
+// HTTP request/latency/error-code counters. It is the one owner of every
+// series the Hive serves: neither the queue nor the engine keeps metrics.
 //
 // Telemetry safety: label values are route patterns, task IDs, status
 // codes and error codes — never device or user identifiers.
@@ -31,6 +34,12 @@ type Metrics struct {
 	httpRequests *obs.CounterVec
 	httpSeconds  *obs.HistogramVec
 	httpErrors   *obs.CounterVec
+
+	// drainSeconds and groupSize time and size each group commit the
+	// ingest queue drains into the Hive. nil unless a queue is bound
+	// (see bindQueue), so a queue-less Hive reads no clock for them.
+	drainSeconds *obs.Histogram
+	groupSize    *obs.Histogram
 }
 
 // NewMetrics registers the Hive instrument families on reg and returns
@@ -137,6 +146,61 @@ func (m *Metrics) BindHive(h *Hive) {
 			return float64(ss[shard])
 		}, strconv.Itoa(shard))
 	}
+}
+
+// bindQueue registers the ingest queue series: depth, capacity and
+// throughput read from q.Stats() at scrape time, plus the group-commit
+// latency and size histograms that Hive.SubmitBatchContext observes.
+// NewServer calls it before BindHive publishes m to the Hive, so the
+// histogram fields are never written while a commit can read them. One
+// queue per registry: a second bind panics (see obs.Registry.GaugeFunc).
+func (m *Metrics) bindQueue(q *ingest.Queue) {
+	m.reg.GaugeFunc("apisense_ingest_pending_uploads",
+		"Uploads currently queued across all batch slots (queue depth).",
+		func() float64 { return float64(q.Stats().PendingUploads) })
+	m.reg.GaugeFunc("apisense_ingest_pending_batches",
+		"Batch slots currently occupied.",
+		func() float64 { return float64(q.Stats().PendingBatches) })
+	m.reg.GaugeFunc("apisense_ingest_capacity_batches",
+		"Configured batch slots (Config.Capacity).",
+		func() float64 { return float64(q.Stats().Capacity) })
+	m.reg.CounterFunc("apisense_ingest_uploads_accepted_total",
+		"Uploads accepted by the sink across all drained group commits.",
+		func() float64 { return float64(q.Stats().Accepted) })
+	m.reg.CounterFunc("apisense_ingest_uploads_rejected_total",
+		"Uploads rejected by the sink across all drained group commits.",
+		func() float64 { return float64(q.Stats().Rejected) })
+	m.reg.CounterFunc("apisense_ingest_uploads_dropped_total",
+		"Uploads refused at the door with ingest.queue_full (never entered the queue).",
+		func() float64 { return float64(q.Stats().Dropped) })
+	m.reg.CounterFunc("apisense_ingest_group_commits_total",
+		"Sink calls — group commits. Accepted divided by this is the coalescing factor.",
+		func() float64 { return float64(q.Stats().BatchesDrained) })
+	m.drainSeconds = m.reg.Histogram("apisense_ingest_drain_seconds",
+		"Latency of one group commit: sink admission plus journal append and fsync.",
+		obs.LatencyBuckets)
+	m.groupSize = m.reg.Histogram("apisense_ingest_group_size_uploads",
+		"Uploads coalesced into one group commit; the mean is the achieved coalescing factor.",
+		obs.SizeBuckets)
+}
+
+// startDrain samples the wall clock for observeDrain: the zero time, and
+// no clock read, unless a queue is bound.
+func (m *Metrics) startDrain() time.Time {
+	if m == nil || m.drainSeconds == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeDrain records one group commit of n uploads started at t0.
+// No-op unless a queue is bound.
+func (m *Metrics) observeDrain(t0 time.Time, n int) {
+	if m == nil || m.drainSeconds == nil {
+		return
+	}
+	m.drainSeconds.Observe(time.Since(t0).Seconds())
+	m.groupSize.Observe(float64(n))
 }
 
 // observeRequest records one served request: the route/status counter and

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,16 +29,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	defer j.Close()
 
-	reg := obs.NewRegistry()
-	q := ingest.New(h, ingest.Config{
-		Capacity: 8, MaxBatch: 8, Workers: 1,
-		Metrics: ingest.NewMetrics(reg),
-	})
+	q := ingest.New(h, ingest.Config{Capacity: 8, MaxBatch: 8, Workers: 1})
 	defer q.Close()
 
 	srv := httptest.NewServer(NewServer(h,
 		WithIngestQueue(q),
-		WithMetrics(NewMetrics(reg)),
+		WithMetrics(NewMetrics(obs.NewRegistry())),
 	))
 	defer srv.Close()
 
@@ -141,6 +138,77 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, "# TYPE "+fam+" ") {
 			t.Errorf("family %s has no TYPE", fam)
 		}
+	}
+
+	// The family set is the contract dashboards and alerts are written
+	// against: each server configuration serves exactly these families,
+	// with these kinds.
+	hiveFamilies := []string{
+		"apisense_hive_devices gauge",
+		"apisense_hive_task_uploads_total counter",
+		"apisense_hive_tasks gauge",
+		"apisense_hive_uploads gauge",
+		"apisense_http_errors_total counter",
+		"apisense_http_request_seconds histogram",
+		"apisense_http_requests_total counter",
+	}
+	queueFamilies := []string{
+		"apisense_ingest_capacity_batches gauge",
+		"apisense_ingest_drain_seconds histogram",
+		"apisense_ingest_group_commits_total counter",
+		"apisense_ingest_group_size_uploads histogram",
+		"apisense_ingest_pending_batches gauge",
+		"apisense_ingest_pending_uploads gauge",
+		"apisense_ingest_uploads_accepted_total counter",
+		"apisense_ingest_uploads_dropped_total counter",
+		"apisense_ingest_uploads_rejected_total counter",
+	}
+	storeFamilies := []string{
+		"apisense_journal_fsyncs_total counter",
+		"apisense_store_last_snapshot_seconds gauge",
+		"apisense_store_log_bytes gauge",
+		"apisense_store_replay_records gauge",
+		"apisense_store_replay_seconds gauge",
+		"apisense_store_segments gauge",
+		"apisense_store_shard_fsyncs_total counter",
+		"apisense_store_snapshot_age_seconds gauge",
+		"apisense_store_snapshot_failures_total counter",
+		"apisense_store_snapshots_total counter",
+	}
+	for _, tc := range []struct {
+		name  string
+		queue bool
+		want  []string
+	}{
+		{"store, queue and metrics", true, slices.Concat(hiveFamilies, queueFamilies, storeFamilies)},
+		{"store and metrics, no queue", false, slices.Concat(hiveFamilies, storeFamilies)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, j, err := recoverDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			opts := []ServerOption{WithMetrics(NewMetrics(obs.NewRegistry()))}
+			if tc.queue {
+				q := ingest.New(h, ingest.Config{})
+				defer q.Close()
+				opts = append(opts, WithIngestQueue(q))
+			}
+			rec := httptest.NewRecorder()
+			NewServer(h, opts...).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			var got []string
+			for _, line := range strings.Split(rec.Body.String(), "\n") {
+				if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+					got = append(got, fam)
+				}
+			}
+			slices.Sort(got)
+			slices.Sort(tc.want)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("/metrics families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+			}
+		})
 	}
 }
 

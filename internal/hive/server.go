@@ -76,9 +76,10 @@ func WithIngestQueue(q *ingest.Queue) ServerOption {
 
 // WithMetrics serves m's registry at GET /metrics and instruments every
 // route with request, latency and error-code series. NewServer binds the
-// Hive gauges (and the store series, when a store is attached) onto the
-// same registry, so one option lights up the whole
-// observability surface described in docs/OPERATIONS.md.
+// Hive gauges, the store series when a store is attached and the ingest
+// queue series when WithIngestQueue is set onto the same registry, so one
+// option lights up the whole observability surface described in
+// docs/OPERATIONS.md.
 func WithMetrics(m *Metrics) ServerOption {
 	return func(s *Server) { s.metrics = m }
 }
@@ -113,6 +114,9 @@ func NewServer(h *Hive, opts ...ServerOption) *Server {
 		opt(s)
 	}
 	if s.metrics != nil {
+		if s.queue != nil {
+			s.metrics.bindQueue(s.queue)
+		}
 		s.metrics.BindHive(h)
 		s.handle("GET /metrics", s.metrics.Registry().ServeHTTP)
 	}

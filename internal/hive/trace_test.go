@@ -284,10 +284,27 @@ func TestHealthAndReadiness(t *testing.T) {
 // goroutines while scraping /metrics concurrently (run under -race), then
 // checks that two quiesced scrapes are byte-identical — family and series
 // ordering must be deterministic no matter what the writers were doing.
+// The queue row drains through two workers, so the Hive's group-commit
+// observations race the scrapes too.
 func TestConcurrentScrapesDuringIngest(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		queue bool
+	}{{"direct", false}, {"queue", true}} {
+		t.Run(tc.name, func(t *testing.T) { concurrentScrapesDuringIngest(t, tc.queue) })
+	}
+}
+
+func concurrentScrapesDuringIngest(t *testing.T, withQueue bool) {
 	h := New()
-	reg := obs.NewRegistry()
-	hs := NewServer(h, WithMetrics(NewMetrics(reg)))
+	opts := []ServerOption{WithMetrics(NewMetrics(obs.NewRegistry()))}
+	var q *ingest.Queue
+	if withQueue {
+		q = ingest.New(h, ingest.Config{Capacity: 16, MaxBatch: 8, Workers: 2})
+		defer q.Close()
+		opts = append(opts, WithIngestQueue(q))
+	}
+	hs := NewServer(h, opts...)
 	must(t, h.RegisterDevice(deviceInfo("d1", "alice", 45.7, 4.8)))
 	spec, _, err := h.PublishTask(taskSpec("scrape-task"))
 	if err != nil {
@@ -334,6 +351,11 @@ func TestConcurrentScrapesDuringIngest(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if q != nil {
+		// Close waits out the drain workers, so the queue's counters are
+		// final before the scrapes below.
+		q.Close()
+	}
 
 	// The scrape instruments itself (the GET /metrics counters advance on
 	// every request), so values cannot be byte-compared — the exposition
@@ -352,5 +374,20 @@ func TestConcurrentScrapesDuringIngest(t *testing.T) {
 	first, second := scrape(), scrape()
 	if normalize(first) != normalize(second) {
 		t.Fatalf("quiesced scrapes order series differently:\n--- first\n%s\n--- second\n%s", first, second)
+	}
+	if q == nil {
+		return
+	}
+	// The Hive observed each group commit the queue counted, and all 200
+	// uploads in them.
+	commits := q.Stats().BatchesDrained
+	for _, w := range []string{
+		fmt.Sprintf("apisense_ingest_group_commits_total %d\n", commits),
+		fmt.Sprintf("apisense_ingest_drain_seconds_count %d\n", commits),
+		"apisense_ingest_group_size_uploads_sum 200\n",
+	} {
+		if !strings.Contains(second, w) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(w))
+		}
 	}
 }

@@ -89,11 +89,6 @@ type Config struct {
 	// RetryAfter is the backpressure hint handed to rejected producers
 	// (surfaced as the HTTP Retry-After header). Default 1s.
 	RetryAfter time.Duration
-	// Metrics, when non-nil, instruments the queue (drain latency and
-	// group-size histograms at commit time; depth and throughput gauges
-	// bound at New). nil — the zero value — disables instrumentation
-	// with no allocation and no time sampling on the drain path.
-	Metrics *Metrics
 	// Tracer, when non-nil, records one ingest.enqueue span per Submit
 	// (child of the caller's span) and one ingest.group_commit span per
 	// drained group, linked to every enqueue span the commit amortised.
@@ -168,13 +163,12 @@ type Queue struct {
 	batches  atomic.Uint64
 }
 
-// New builds a Queue over sink and starts its drain workers. When
-// cfg.Metrics is set the queue's depth and throughput gauges are bound to
-// the metrics registry here (one queue per registry).
+// New builds a Queue over sink and starts its drain workers. The queue
+// keeps no metrics of its own: Stats is its whole gauge surface, and a
+// metered Hive server exports it (see hive.WithMetrics).
 func New(sink Sink, cfg Config) *Queue {
 	cfg = cfg.withDefaults()
 	q := &Queue{sink: sink, cfg: cfg, ch: make(chan *job, cfg.Capacity)}
-	cfg.Metrics.bindQueue(q)
 	for w := 0; w < cfg.Workers; w++ {
 		q.wg.Add(1)
 		go q.drain()
@@ -356,14 +350,12 @@ func (q *Queue) commit(jobs []*job, n int) {
 			sp.Link(j.sc)
 		}
 	}
-	start := q.cfg.Metrics.start()
 	var errs []error
 	if cs, ok := q.sink.(ContextSink); ok {
 		errs = cs.SubmitBatchContext(cctx, all)
 	} else {
 		errs = q.sink.SubmitBatch(all)
 	}
-	q.cfg.Metrics.observeDrain(start, n)
 	sp.End()
 	if got := len(errs); got != n { // defensive: a broken sink rejects everything
 		errs = make([]error, n)

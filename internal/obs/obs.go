@@ -5,11 +5,11 @@
 // metrics — without importing anything beyond the standard library, so it
 // can be wired into every binary and test.
 //
-// Instruments are nil-safe: every mutating method on a nil *Counter,
-// *Gauge or *Histogram (and With on a nil vec) is a no-op, so
-// instrumented packages take an optional *Metrics hook in their Config
-// and pay nothing when it is nil — the zero-value configuration stays
-// allocation-free and branch-cheap on the hot path.
+// Instruments are nil-safe: every mutating method on a nil *Counter or
+// *Histogram (and With on a nil vec) is a no-op, so an instrumented
+// package holding nil instruments pays one branch per observation.
+// Gauges are collect-time callbacks only (GaugeFunc, GaugeFuncVec): every
+// gauge the platform exports reads state another subsystem already keeps.
 //
 // Output is deterministic: families are emitted sorted by name, series
 // within a family sorted by label values, so /metrics responses are
@@ -17,7 +17,7 @@
 // table-tested.
 //
 // Concurrency: a Registry and every instrument it creates are safe for
-// unsynchronised concurrent use. Counters, gauges and histograms update
+// unsynchronised concurrent use. Counters and histograms update
 // through atomics; registration and collection take the registry lock.
 package obs
 
@@ -64,7 +64,7 @@ type family struct {
 	sfn     func() []Sample // multi-sample callback families only
 
 	mu       sync.Mutex
-	children map[string]any // label signature -> *Counter/*Gauge/*Histogram
+	children map[string]any // label signature -> *Counter/*Histogram/*funcSeries
 }
 
 // NewRegistry creates an empty registry.
@@ -134,28 +134,10 @@ func (f *family) child(sig string, mk func() any) any {
 	return c
 }
 
-// Counter registers (or finds) an unlabelled counter. Nil-safe: a nil
-// registry returns a nil counter whose methods are no-ops.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	f := r.lookup(name, help, "counter", nil, nil, nil)
-	return f.child("", func() any { return &Counter{} }).(*Counter)
-}
-
-// Gauge registers (or finds) an unlabelled gauge. Nil-safe like Counter.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.lookup(name, help, "gauge", nil, nil, nil)
-	return f.child("", func() any { return &Gauge{} }).(*Gauge)
-}
-
 // Histogram registers (or finds) a fixed-bucket histogram; buckets are
 // upper bounds, sorted ascending (a final +Inf bucket is implicit).
-// Nil-safe like Counter.
+// Nil-safe: a nil registry returns a nil histogram whose methods are
+// no-ops.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -165,7 +147,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // CounterVec registers (or finds) a counter family with the given label
-// names. Nil-safe like Counter.
+// names. Nil-safe like Histogram.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
@@ -173,17 +155,8 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.lookup(name, help, "counter", labels, nil, nil)}
 }
 
-// GaugeVec registers (or finds) a gauge family with the given label
-// names. Nil-safe like Counter.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.lookup(name, help, "gauge", labels, nil, nil)}
-}
-
 // HistogramVec registers (or finds) a histogram family with the given
-// label names. Nil-safe like Counter.
+// label names. Nil-safe like Histogram.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	if r == nil {
 		return nil
@@ -326,36 +299,6 @@ func (c *Counter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-// Gauge is a value that can go up and down. All methods are nil-safe
-// no-ops on a nil receiver and safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds v (which may be negative).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	addFloat(&g.bits, v)
-}
-
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // addFloat atomically adds v to the float64 stored in bits.
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {
@@ -419,19 +362,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	}
 	sig := labelSig(v.f.labels, values)
 	return v.f.child(sig, func() any { return &Counter{} }).(*Counter)
-}
-
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for one combination of label values (see
-// CounterVec.With).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil || len(values) != len(v.f.labels) {
-		return nil
-	}
-	sig := labelSig(v.f.labels, values)
-	return v.f.child(sig, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // HistogramVec is a histogram family keyed by label values.
@@ -550,9 +480,6 @@ func writeChild(w io.Writer, name, sig string, c any) error {
 		return err
 	case *funcSeries:
 		_, err := fmt.Fprintf(w, "%s %s\n", seriesName(name, sig), formatValue(m.fn()))
-		return err
-	case *Gauge:
-		_, err := fmt.Fprintf(w, "%s %s\n", seriesName(name, sig), formatValue(m.Value()))
 		return err
 	case *Histogram:
 		var cum uint64

@@ -17,7 +17,7 @@ func TestWriteToDeterministicOrdering(t *testing.T) {
 		r := NewRegistry()
 		// Register in two different orders.
 		if flip {
-			r.Counter("zz_total", "last alphabetically").Inc()
+			r.CounterVec("zz_total", "last alphabetically", "k").With("z").Inc()
 			v := r.CounterVec("aa_by_label_total", "first alphabetically", "k")
 			v.With("b").Add(2)
 			v.With("a").Inc()
@@ -25,9 +25,9 @@ func TestWriteToDeterministicOrdering(t *testing.T) {
 			v := r.CounterVec("aa_by_label_total", "first alphabetically", "k")
 			v.With("a").Inc()
 			v.With("b").Add(2)
-			r.Counter("zz_total", "last alphabetically").Inc()
+			r.CounterVec("zz_total", "last alphabetically", "k").With("z").Inc()
 		}
-		r.Gauge("mm_gauge", "middle").Set(7)
+		r.GaugeFunc("mm_gauge", "middle", func() float64 { return 7 })
 		var b strings.Builder
 		if _, err := r.WriteTo(&b); err != nil {
 			t.Fatal(err)
@@ -141,11 +141,11 @@ func TestFuncInstruments(t *testing.T) {
 // the same shape returns the same family; a different shape panics.
 func TestIdempotentRegistration(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("twice_total", "again")
-	c2 := r.Counter("twice_total", "again")
-	c1.Inc()
-	c2.Inc()
-	if got := c1.Value(); got != 2 {
+	c1 := r.CounterVec("twice_total", "again", "k")
+	c2 := r.CounterVec("twice_total", "again", "k")
+	c1.With("a").Inc()
+	c2.With("a").Inc()
+	if got := c1.With("a").Value(); got != 2 {
 		t.Errorf("re-registered counter split state: %v", got)
 	}
 	defer func() {
@@ -153,20 +153,18 @@ func TestIdempotentRegistration(t *testing.T) {
 			t.Error("conflicting re-registration did not panic")
 		}
 	}()
-	r.Gauge("twice_total", "again")
+	r.GaugeFuncVec("twice_total", "again", "k")
 }
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	// Every constructor and instrument is a no-op on nil.
-	r.Counter("x_total", "x").Inc()
-	r.Gauge("g", "g").Set(1)
 	r.Histogram("h", "h", LatencyBuckets).Observe(1)
 	r.CounterVec("cv_total", "cv", "k").With("v").Inc()
-	r.GaugeVec("gv", "gv", "k").With("v").Set(1)
 	r.HistogramVec("hv", "hv", LatencyBuckets, "k").With("v").Observe(1)
 	r.CounterFunc("cf_total", "cf", func() float64 { return 1 })
 	r.GaugeFunc("gf", "gf", func() float64 { return 1 })
+	r.GaugeFuncVec("gfv", "gfv", "k").Bind(func() float64 { return 1 }, "v")
 	// Wrong arity yields a nil child, which is also a no-op.
 	r2 := NewRegistry()
 	r2.CounterVec("arity_total", "a", "k").With("a", "b").Inc()
@@ -174,7 +172,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestConcurrentObservations(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("conc_total", "concurrent")
+	c := r.CounterVec("conc_total", "concurrent", "k").With("v")
 	h := r.Histogram("conc_seconds", "concurrent", []float64{1})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -198,7 +196,7 @@ func TestConcurrentObservations(t *testing.T) {
 
 func TestServeHTTP(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("served_total", "served").Add(3)
+	r.CounterFunc("served_total", "served", func() float64 { return 3 })
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
@@ -211,7 +209,7 @@ func TestServeHTTP(t *testing.T) {
 
 func TestFormatValue(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("inf_gauge", "inf").Set(math.Inf(1))
+	r.GaugeFunc("inf_gauge", "inf", func() float64 { return math.Inf(1) })
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatal(err)
