@@ -97,8 +97,8 @@ func lastDay(raw *trace.Dataset) time.Time {
 // strategy to the next (see Middleware.scratch): the protected records of
 // the trajectory in flight and the header that views them as a
 // trajectory, the utility Scorer, and the stays the attacker extracted,
-// user by user. It holds about one trajectory plus the distortion
-// distances of the users it scored, and nothing in it outlives the
+// user by user. It holds about one trajectory plus the Scorer's tables
+// and running sums (no distance is kept), and nothing in it outlives the
 // strategy: no release, cache entry or report refers into it.
 type scratch struct {
 	recs     []trace.Record

@@ -371,14 +371,16 @@ func (q *Queue) commit(jobs []*job, n int) {
 			rej++
 		}
 	}
+	// Count before releasing the submitters, so a Stats read after Submit
+	// returns includes this commit.
+	q.depth.Add(-int64(n))
+	q.accepted.Add(acc)
+	q.rejected.Add(rej)
+	q.batches.Add(1)
 	off := 0
 	for _, j := range jobs {
 		j.errs = errs[off : off+len(j.uploads)]
 		off += len(j.uploads)
 		close(j.done)
 	}
-	q.depth.Add(-int64(n))
-	q.accepted.Add(acc)
-	q.rejected.Add(rej)
-	q.batches.Add(1)
 }

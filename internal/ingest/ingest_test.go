@@ -89,6 +89,26 @@ func TestSubmitPerItemVerdicts(t *testing.T) {
 	}
 }
 
+// acceptSink accepts every upload and keeps nothing.
+type acceptSink struct{}
+
+func (acceptSink) SubmitBatch(ups []transport.Upload) []error { return make([]error, len(ups)) }
+
+// TestStatsCountReturnedSubmit: the commit is counted before its submitter
+// is released, so Stats read right after Submit returns already holds it.
+func TestStatsCountReturnedSubmit(t *testing.T) {
+	q := ingest.New(acceptSink{}, ingest.Config{})
+	defer q.Close()
+	for i := 1; i <= 3000; i++ {
+		if _, err := q.Submit(context.Background(), []transport.Upload{up("ok", "a")}); err != nil {
+			t.Fatal(err)
+		}
+		if st := q.Stats(); st.Accepted != uint64(i) || st.PendingUploads != 0 {
+			t.Fatalf("after submit %d: stats = %+v, want %d accepted and none pending", i, st, i)
+		}
+	}
+}
+
 // TestQueueFullBackpressure deterministically saturates the queue: the
 // drain worker is parked inside the sink, the single batch slot is
 // occupied, and the next Submit must fail fast with ErrQueueFull.

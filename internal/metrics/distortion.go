@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/bits"
-	"slices"
 
 	"apisense/internal/geo"
 	"apisense/internal/trace"
@@ -17,20 +15,16 @@ import (
 // distance to where the user actually was at that instant.
 type DistortionStats struct {
 	// Mean is the correctly rounded exact sum of the distances over their
-	// number: it does not depend on the order of users or records.
-	Mean float64
-	// Median and P95 are the distances at ranks ceil(q·n)−1 of the
-	// ascending order, and Max the largest.
-	Median float64
-	P95    float64
-	Max    float64
+	// number: it does not depend on the order of users or records. It is
+	// NaN if any distance is NaN (or +Inf and −Inf meet), and ±Inf if one
+	// sign of infinity is present.
+	Mean   float64
 	Points int
 }
 
 // String implements fmt.Stringer.
 func (s DistortionStats) String() string {
-	return fmt.Sprintf("mean=%.0fm median=%.0fm p95=%.0fm max=%.0fm (%d points)",
-		s.Mean, s.Median, s.P95, s.Max, s.Points)
+	return fmt.Sprintf("mean=%.0fm (%d points)", s.Mean, s.Points)
 }
 
 // SpatialDistortion measures how far each protected record is from the
@@ -42,11 +36,11 @@ func (s DistortionStats) String() string {
 // shifted the user.
 func SpatialDistortion(raw, protected *trace.Dataset) DistortionStats {
 	tracks := newTracks(raw)
-	scan := newDistortionScan(protected.NumRecords())
+	var scan distortionScan
 	for _, pt := range protected.Trajectories {
 		scan.add(pt, tracks[pt.User])
 	}
-	return summarize(scan.dists)
+	return scan.stats()
 }
 
 // track is one raw trajectory as the distortion scan reads it: timestamps
@@ -138,12 +132,17 @@ func (tk *track) at(i int, q int64) geo.Point {
 	return geo.Lerp(tk.pos[i-1], tk.pos[i], frac)
 }
 
-// distortionScan is the time-aligned half of the scoring kernel: it
-// collects, for every protected record inside the span of one of its
-// user's raw trajectories (the first such trajectory in dataset order), the
-// distance to where the user really was.
+// distortionScan is the time-aligned half of the scoring kernel: it sums,
+// for every protected record inside the span of one of its user's raw
+// trajectories (the first such trajectory in dataset order), the distance
+// to where the user really was. It keeps running sums only, no distance.
 type distortionScan struct {
-	dists []float64
+	sum exactSum // the finite distances
+	n   int      // every distance
+	// nans counts the NaN distances; inf sums the infinite ones, and is
+	// NaN once both signs occur.
+	nans int
+	inf  float64
 	// cursors holds, per raw track of the trajectory being scanned, where
 	// the previous record was located and at which instant: protected
 	// records are time-ordered, so the next one is at or after it.
@@ -153,10 +152,6 @@ type distortionScan struct {
 type cursor struct {
 	i int
 	q int64
-}
-
-func newDistortionScan(records int) *distortionScan {
-	return &distortionScan{dists: make([]float64, 0, records)}
 }
 
 // add scans one protected trajectory against its user's raw tracks.
@@ -184,141 +179,49 @@ func (s *distortionScan) add(pt *trace.Trajectory, raw []track) {
 				i = tk.locate(q)
 			}
 			s.cursors[j] = cursor{i: i, q: q}
-			s.dists = append(s.dists, geo.Distance(tk.at(i, q), r.Pos))
+			s.push(geo.Distance(tk.at(i, q), r.Pos))
 			break
 		}
 	}
 }
 
-// summarize reads the statistics off the distances in one pass and two
-// selections, ordering none of them. Median and P95 are the values that
-// sort.Float64s would put at ranks ceil(q·n)−1 (NaN ranks first), found by
-// selectKth in place; Max is a running maximum over the values that are not
-// NaN. Mean is the exact sum of the distances, rounded once to float64
-// (half to even), over n: it depends on the set of distances and not on
-// their order, so a scorecard is the same however users or records are
-// ordered. It is NaN if any distance is NaN (or +Inf and −Inf meet), and
-// ±Inf if one sign of infinity is present.
-func summarize(dists []float64) DistortionStats {
-	n := len(dists)
-	if n == 0 {
-		return DistortionStats{}
+// push adds one distance to the sums.
+func (s *distortionScan) push(d float64) {
+	s.n++
+	if !s.sum.add(d) {
+		if d != d {
+			s.nans++
+		} else {
+			s.inf += d
+		}
 	}
-	var acc exactSum
-	nans, inf := 0, 0.0 // inf sums the infinities: NaN once both signs occur
-	top := math.Inf(-1)
-	for _, d := range dists {
-		if d > top {
-			top = d
-		}
-		if !acc.add(d) {
-			if d != d {
-				nans++
-			} else {
-				inf += d
-			}
-		}
+}
+
+// merge adds what o has summed to s; o is left as it was.
+func (s *distortionScan) merge(o *distortionScan) {
+	s.sum.merge(o.sum)
+	s.n += o.n
+	s.nans += o.nans
+	s.inf += o.inf
+}
+
+// stats returns the summary of the distances pushed or merged so far: the
+// exact sum is rounded once, half to even, so the mean depends on the set
+// of distances and not on their order.
+func (s *distortionScan) stats() DistortionStats {
+	if s.n == 0 {
+		return DistortionStats{}
 	}
 	var sum float64
 	switch {
-	case nans > 0:
+	case s.nans > 0:
 		sum = math.NaN()
-	case inf != 0:
-		sum = inf
+	case s.inf != 0:
+		sum = s.inf
 	default:
-		sum = acc.round()
+		sum = s.sum.round()
 	}
-	if nans == n {
-		top = math.NaN()
-	}
-	if nans > 0 {
-		// NaNs rank first, as sort.Float64s puts them.
-		w := 0
-		for i, d := range dists {
-			if d != d {
-				dists[i], dists[w] = dists[w], d
-				w++
-			}
-		}
-	}
-	// Ranks below done hold their final values: ranks are read in
-	// ascending order, and each selection leaves no smaller value after it.
-	done := nans
-	rank := func(q float64) float64 {
-		k := min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
-		if k >= done {
-			selectKth(dists[done:], k-done)
-			done = k + 1
-		}
-		return dists[k]
-	}
-	return DistortionStats{
-		Mean:   sum / float64(n),
-		Median: rank(0.5),
-		P95:    rank(0.95),
-		Max:    top,
-		Points: n,
-	}
-}
-
-// selectKth moves into a[k] the value a sorted a holds there, with no
-// larger value before it and no smaller one after; a holds no NaN. It is an
-// introselect: quickselect on a median-of-3 pivot for about 2·log₂n
-// partitions, then a sort of the range left, so no input makes it
-// quadratic.
-func selectKth(a []float64, k int) {
-	lo, hi := 0, len(a)
-	for budget := 2 * bits.Len(uint(len(a))); budget > 0 && hi-lo > 16; budget-- {
-		x, y, z := a[lo], a[int(uint(lo+hi)>>1)], a[hi-1]
-		if x > y {
-			x, y = y, x
-		}
-		if y > z {
-			y = max(x, z)
-		}
-		m := lo + partitionBelow(a[lo:hi], y)
-		if k < m {
-			hi = m
-			continue
-		}
-		if m == lo {
-			// The pivot is the least value: gather its copies at the
-			// front, where a[k] may sit.
-			for r := lo; r < hi; r++ {
-				if a[r] == y {
-					a[r], a[m] = a[m], a[r]
-					m++
-				}
-			}
-			if k < m {
-				return
-			}
-		}
-		lo = m
-	}
-	slices.Sort(a[lo:hi])
-}
-
-// partitionBelow moves the values of a below p to its front and returns
-// how many there are. It is Lomuto's partition with the comparison feeding
-// an increment instead of a branch: on distances its outcome is a coin
-// toss no branch predictor learns.
-func partitionBelow(a []float64, p float64) int {
-	w := 0
-	for r, x := range a {
-		a[r], a[w] = a[w], x
-		w += b2i(x < p)
-	}
-	return w
-}
-
-// b2i is 1 for true and 0 for false; the compiler emits it without a
-// branch, where an if around an increment stays a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return DistortionStats{Mean: sum / float64(s.n), Points: s.n}
 }
 
 // exactSum adds float64 values without rounding: Neal's small
@@ -328,7 +231,8 @@ func b2i(b bool) int {
 // 32) is split into three digits below 2³² that are added to chunks p/32,
 // p/32+1 and p/32+2, chunk c weighing 2^(32c−1074). A chunk gains less than
 // 2³² per value, so its int64 cannot overflow before carries are
-// propagated, which happens every 2³⁰ values and before rounding.
+// propagated, which happens every 2³⁰ values, before merging and before
+// rounding.
 type exactSum struct {
 	chunk [67]int64
 	adds  int
@@ -372,9 +276,21 @@ func (a *exactSum) carry() {
 	}
 }
 
+// merge adds b's sum to a. Both are carried first, so every chunk of a
+// ends below 2³³ and a may take 2³⁰ more values before its next carry.
+func (a *exactSum) merge(b exactSum) {
+	a.carry()
+	b.carry()
+	for c := range a.chunk {
+		a.chunk[c] += b.chunk[c]
+	}
+	a.adds = 0
+}
+
 // round returns the sum rounded to the nearest float64, ties to even
-// (±Inf past the largest finite float64).
-func (a *exactSum) round() float64 {
+// (±Inf past the largest finite float64). It works on a copy, so a is
+// left as it was.
+func (a exactSum) round() float64 {
 	a.carry()
 	neg := a.chunk[len(a.chunk)-1] < 0
 	if neg {

@@ -3,11 +3,12 @@ package metrics
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -63,8 +64,7 @@ func refTrafficUtility(raw, prot *trace.Dataset, g *geo.Grid, cut time.Time) flo
 func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 
 func sameStats(a, b DistortionStats) bool {
-	return sameFloat(a.Mean, b.Mean) && sameFloat(a.Median, b.Median) &&
-		sameFloat(a.P95, b.P95) && sameFloat(a.Max, b.Max) && a.Points == b.Points
+	return sameFloat(a.Mean, b.Mean) && a.Points == b.Points
 }
 
 func sameScore(a, b Score) bool {
@@ -366,10 +366,11 @@ func TestLongStayAcrossHours(t *testing.T) {
 	}
 }
 
-// TestSummarizeMatchesSortFloat64s: the ranks selection reads are the ranks
-// sort.Float64s orders, and the mean is the exact one, on everything a
-// distance can be and on what it cannot (NaN, negative, infinite).
-func TestSummarizeMatchesSortFloat64s(t *testing.T) {
+// TestScanMeanMatchesExactSum: the scan's mean is the exact one, on
+// everything a distance can be and on what it cannot (NaN, negative,
+// infinite, negative zero), whether the values are pushed into one scan or
+// split between scans that are merged in order.
+func TestScanMeanMatchesExactSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	special := []float64{0, math.SmallestNonzeroFloat64, 1e-310, 1, 1, math.MaxFloat64, math.Inf(1), 250, 250}
 	for _, n := range []int{0, 1, 2, 17, 255, 256, 1000, 20000} {
@@ -391,90 +392,56 @@ func TestSummarizeMatchesSortFloat64s(t *testing.T) {
 			if n > 0 && (taint != 0 || math.Signbit(taint)) {
 				a[rng.Intn(n)] = taint
 			}
-			checkSummarize(t, fmt.Sprintf("n=%d taint=%v", n, taint), a)
-		}
-	}
-}
-
-// checkSummarize holds summarize to refSummarize on a copy of a each.
-func checkSummarize(t *testing.T, name string, a []float64) {
-	t.Helper()
-	want := refSummarize(slices.Clone(a))
-	if got := summarize(slices.Clone(a)); !sameStats(got, want) {
-		t.Errorf("%s: summarize = %+v, want %+v", name, got, want)
-	}
-}
-
-// TestSelectAdversarialInputs feeds selection the orders that make a naive
-// quickselect slow or that break partitioning: sorted, reversed, all equal,
-// few distinct values, organ pipes, a median-of-3 killer, and each with
-// NaNs mixed in. Every rank is checked against sort.Float64s, and the
-// partition invariant around it.
-func TestSelectAdversarialInputs(t *testing.T) {
-	const n = 4099
-	shapes := map[string]func(i int) float64{
-		"sorted":      func(i int) float64 { return float64(i) },
-		"reversed":    func(i int) float64 { return float64(n - i) },
-		"all-equal":   func(int) float64 { return 300 },
-		"two-values":  func(i int) float64 { return float64(i % 2) },
-		"few-values":  func(i int) float64 { return float64(i % 7 * 100) },
-		"organ-pipe":  func(i int) float64 { return float64(min(i, n-1-i)) },
-		"sawtooth":    func(i int) float64 { return float64(i % 64) },
-		"m3-killer":   m3Killer(n),
-		"zeros-signs": func(i int) float64 { return math.Copysign(0, float64(i%2*2-1)) },
-	}
-	for name, shape := range shapes {
-		for _, nanEvery := range []int{0, 3, 1} {
-			a := make([]float64, n)
-			for i := range a {
-				a[i] = shape(i)
-				if nanEvery > 0 && i%nanEvery == 0 {
-					a[i] = math.NaN()
-				}
-			}
-			label := fmt.Sprintf("%s, NaN every %d", name, nanEvery)
-			checkSummarize(t, label, a)
-			if nanEvery > 0 {
-				continue
-			}
-			want := slices.Clone(a)
-			sort.Float64s(want)
-			for _, k := range []int{0, 1, n / 2, n * 95 / 100, n - 2, n - 1} {
-				b := slices.Clone(a)
-				selectKth(b, k)
-				if b[k] != want[k] {
-					t.Fatalf("%s: selectKth(%d) = %v, want %v", label, k, b[k], want[k])
-				}
-				for i, v := range b {
-					if i < k && v > b[k] || i > k && v < b[k] {
-						t.Fatalf("%s: selectKth(%d) left %v at %d around %v", label, k, v, i, b[k])
+			want := refSummarize(a)
+			for _, parts := range splitAt(rng, len(a)) {
+				var scans []distortionScan
+				for _, part := range parts {
+					var s distortionScan
+					for _, d := range a[part[0]:part[1]] {
+						s.push(d)
 					}
+					scans = append(scans, s)
+				}
+				for i := 1; i < len(scans); i++ {
+					scans[0].merge(&scans[i])
+				}
+				if got := scans[0].stats(); !sameStats(got, want) {
+					t.Errorf("n=%d taint=%v in %d scans: stats = %+v, want %+v", n, taint, len(parts), got, want)
 				}
 			}
 		}
 	}
 }
 
-// m3Killer returns Musser's median-of-3 killer sequence of length n (n
-// even is rounded down), on which a quickselect taking its pivot from the
-// ends and the middle shrinks its range by two per partition.
-func m3Killer(n int) func(int) float64 {
-	k := n / 2
-	a := make([]float64, n)
-	for i := 1; i <= k; i++ {
-		if i%2 == 1 {
-			a[i-1] = float64(i)
-			a[i] = float64(k + i)
+// splitAt returns ways to cut n values into 1 to 4 contiguous ranges at
+// points drawn from rng: the whole, then one split into each count of
+// ranges.
+func splitAt(rng *rand.Rand, n int) [][][2]int {
+	out := [][][2]int{{{0, n}}}
+	for k := 2; k <= 4; k++ {
+		cuts := []int{0}
+		for range k - 1 {
+			cuts = append(cuts, rng.Intn(n+1))
 		}
-		a[k+i-1] = float64(2 * i)
+		slices.Sort(cuts)
+		var parts [][2]int
+		for i, c := range cuts {
+			end := n
+			if i+1 < len(cuts) {
+				end = cuts[i+1]
+			}
+			parts = append(parts, [2]int{c, end})
+		}
+		out = append(out, parts)
 	}
-	return func(i int) float64 { return a[i] }
+	return out
 }
 
 // TestExactSumMatchesBig: the superaccumulator rounds as math/big does,
 // across the whole exponent range, both signs, cancellation to tiny or zero
 // totals, subnormals, totals past the largest float64, and enough values
-// to trigger its periodic carry.
+// to trigger its periodic carry; and so do 1 to 4 accumulators that each
+// add a range of the values and are merged in order.
 func TestExactSumMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	anyFinite := func() float64 {
@@ -511,13 +478,22 @@ func TestExactSumMatchesBig(t *testing.T) {
 		}
 		cases[fmt.Sprintf("random-%d", i)] = vals
 	}
-	for name, vals := range cases {
-		var acc exactSum
-		for _, v := range vals {
-			acc.add(v)
-		}
-		if got, want := acc.round(), refExactSum(vals); got != want {
-			t.Errorf("%s: exact sum = %v, want %v", name, got, want)
+	for _, name := range slices.Sorted(maps.Keys(cases)) {
+		vals := cases[name]
+		want := refExactSum(vals)
+		for _, parts := range splitAt(rng, len(vals)) {
+			accs := make([]exactSum, len(parts))
+			for i, part := range parts {
+				for _, v := range vals[part[0]:part[1]] {
+					accs[i].add(v)
+				}
+			}
+			for _, acc := range accs[1:] {
+				accs[0].merge(acc)
+			}
+			if got := accs[0].round(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s in %d accumulators: exact sum = %v, want %v", name, len(parts), got, want)
+			}
 		}
 	}
 	var acc exactSum
@@ -529,6 +505,36 @@ func TestExactSumMatchesBig(t *testing.T) {
 	}
 	if got := acc.round(); got != 10*0x1p-1074 {
 		t.Errorf("sum across a periodic carry = %v, want %v", got, 10*0x1p-1074)
+	}
+
+	// Two sides that each stand three values before their periodic carry,
+	// holding in their chunks what 2³⁰−3 values with two digits near 2³²
+	// leave there. Added chunk to chunk uncarried, they would leave no room
+	// for the ten values added after the merge.
+	v := math.Ldexp(1<<53-1, -423) // digits 2³²−2¹¹ and 2³²−1
+	side := func() exactSum {
+		var s exactSum
+		s.add(v)
+		for c := range s.chunk {
+			s.chunk[c] *= 1<<30 - 3
+		}
+		s.adds = 1<<30 - 3
+		return s
+	}
+	merged := side()
+	merged.merge(side())
+	for c, x := range merged.chunk[:len(merged.chunk)-1] {
+		if x < 0 || x >= 1<<33 {
+			t.Errorf("chunk %d after a merge = %#x, want it in [0, 2³³)", c, x)
+		}
+	}
+	for range 10 {
+		merged.add(v)
+	}
+	exact := new(big.Float).SetPrec(4096).SetFloat64(v)
+	want, _ := exact.Mul(exact, big.NewFloat(2*(1<<30-3)+10)).Float64()
+	if got := merged.round(); got != want {
+		t.Errorf("sum past a merge of two near-full sides = %v, want %v", got, want)
 	}
 }
 
@@ -560,8 +566,8 @@ func TestScoreIndependentOfOrder(t *testing.T) {
 
 // sameBits reports whether two scorecards are equal bit for bit.
 func sameBits(a, b Score) bool {
-	fa := []float64{a.Coverage, a.HotspotOverlap, a.TrafficUtility, a.Distortion.Mean, a.Distortion.Median, a.Distortion.P95, a.Distortion.Max}
-	fb := []float64{b.Coverage, b.HotspotOverlap, b.TrafficUtility, b.Distortion.Mean, b.Distortion.Median, b.Distortion.P95, b.Distortion.Max}
+	fa := []float64{a.Coverage, a.HotspotOverlap, a.TrafficUtility, a.Distortion.Mean}
+	fb := []float64{b.Coverage, b.HotspotOverlap, b.TrafficUtility, b.Distortion.Mean}
 	for i := range fa {
 		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
 			return false

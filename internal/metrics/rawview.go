@@ -82,7 +82,6 @@ type Score struct {
 // separately. It is a Scorer fed the release user by user.
 func (v *RawView) Score(protected *trace.Dataset) Score {
 	s := NewScorer(v)
-	s.scan.dists = make([]float64, 0, protected.NumRecords())
 	for i, group := range groupByUser(protected) {
 		for _, t := range group {
 			s.Add(t, int32(i+1))
@@ -97,9 +96,9 @@ func (v *RawView) Score(protected *trace.Dataset) Score {
 // keeps nothing of the trajectory. Scorers over disjoint sets of users
 // Merge exactly into the Scorer of their union, since every part of a
 // Score is an order-free sum: per-cell and per-(cell, hour) distinct-user
-// counts add, and the distortion summary is independent of the order of
-// its distances. A Scorer is not safe for concurrent use; score a release
-// in parallel with one Scorer per range of users and merge them.
+// counts add, and so do the distortion scan's exact sum and counts. A
+// Scorer is not safe for concurrent use; score a release in parallel with
+// one Scorer per range of users and merge them.
 type Scorer struct {
 	view    *RawView
 	cells   cellTally
@@ -114,9 +113,9 @@ func NewScorer(v *RawView) *Scorer {
 	return s
 }
 
-// Reset empties s and binds it to v, keeping the room its cell table,
-// visit table and distances have grown. Reset(nil) binds s to no view, so
-// that a Scorer waiting to be reused keeps none alive.
+// Reset empties s and binds it to v, keeping the room its cell table and
+// visit table have grown. Reset(nil) binds s to no view, so that a Scorer
+// waiting to be reused keeps none alive.
 func (s *Scorer) Reset(v *RawView) {
 	s.view = v
 	if v == nil {
@@ -124,7 +123,7 @@ func (s *Scorer) Reset(v *RawView) {
 	} else {
 		s.cells.reset(v.grid, &v.cells)
 	}
-	s.scan.dists = s.scan.dists[:0]
+	s.scan = distortionScan{cursors: s.scan.cursors[:0]}
 	s.trained = false
 }
 
@@ -146,16 +145,14 @@ func (s *Scorer) Add(t *trace.Trajectory, uid int32) {
 // RawView and have scored disjoint sets of users; o is left as it was.
 func (s *Scorer) Merge(o *Scorer) {
 	s.cells.merge(&o.cells)
-	s.scan.dists = append(s.scan.dists, o.scan.dists...)
+	s.scan.merge(&o.scan)
 	s.trained = s.trained || o.trained
 }
 
-// Score returns the scorecard of everything added or merged so far. It
-// reorders the kept distances, so it is meant to be called once, after the
-// last Add or Merge.
+// Score returns the scorecard of everything added or merged so far.
 func (s *Scorer) Score() Score {
 	v, cells := s.view, &s.cells
-	sc := Score{Coverage: coverage(cells), Distortion: summarize(s.scan.dists)}
+	sc := Score{Coverage: coverage(cells), Distortion: s.scan.stats()}
 	if v.k > 0 {
 		sc.HotspotOverlap = topOverlap(v.top, topCells(cells.scored(), v.k))
 	}

@@ -1,8 +1,9 @@
 package metrics
 
 // The scorers as they stood before the scoring kernel replaced them, bodies
-// unchanged (only renamed with a ref prefix) but for refSummarize's mean:
-// the oracles the differential tests in kernel_test.go hold the kernel to.
+// unchanged (only renamed with a ref prefix) but for refSummarize, which
+// keeps only the mean and the count, its mean made exact: the oracles the
+// differential tests in kernel_test.go hold the kernel to.
 // They exist nowhere outside this file.
 
 import (
@@ -279,32 +280,14 @@ func refPositionAt(trajs []*trace.Trajectory, ts time.Time) (geo.Point, bool) {
 	return geo.Point{}, false
 }
 
-// refSummarize sorts and reads the ranks off the sorted distances. Its mean
-// is the one part that is not the old body: the ascending float64 sum
-// became the exact sum of math/big, rounded once, with NaN and the
-// infinities summing as IEEE-754 adds them.
+// refSummarize reads the mean and the count off the distances. The old
+// body's ascending float64 sum became the exact sum of math/big, rounded
+// once, with NaN and the infinities summing as IEEE-754 adds them.
 func refSummarize(dists []float64) DistortionStats {
 	if len(dists) == 0 {
 		return DistortionStats{}
 	}
-	sort.Float64s(dists)
-	idx := func(q float64) int {
-		i := int(math.Ceil(q*float64(len(dists)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(dists) {
-			i = len(dists) - 1
-		}
-		return i
-	}
-	return DistortionStats{
-		Mean:   refExactSum(dists) / float64(len(dists)),
-		Median: dists[idx(0.5)],
-		P95:    dists[idx(0.95)],
-		Max:    dists[len(dists)-1],
-		Points: len(dists),
-	}
+	return DistortionStats{Mean: refExactSum(dists) / float64(len(dists)), Points: len(dists)}
 }
 
 // refExactSum adds the values in math/big at a precision that holds any
