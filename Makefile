@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStayPointsMatchReference$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/poi/
 	$(GO) test -run '^$$' -fuzz '^FuzzWithinMatchesDistance$$' -fuzztime=10s ./internal/geo/
 	$(GO) test -run '^$$' -fuzz '^FuzzMechanismAppend$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/lppm/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
 
 fmt:
 	gofmt -w .

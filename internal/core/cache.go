@@ -104,9 +104,9 @@ func (m *Middleware) hashContent(raw *trace.Dataset) contentHashes {
 // only need to be proportionate — the cache bound is an order-of-magnitude
 // memory control, not an accountant.
 const (
-	recordCost     = 56  // trace.Record: Time (24) + Pos (16) + Accuracy (8) + padding
+	recordCost     = 32  // trace.Record: Time (8) + Pos (16) + Accuracy (8)
 	trajectoryCost = 64  // slice headers + User header + pointer overhead
-	poiCost        = 88  // poi.POI: Center (16) + Enter/Leave (48) + Fixes (8) + padding
+	poiCost        = 40  // poi.POI: Center (16) + Enter/Leave (16) + Fixes (8)
 	pointCost      = 16  // geo.Point
 	evaluationCost = 160 // core.Evaluation scalars + name
 	keyCost        = 96  // map key + LRU bookkeeping per entry

@@ -27,8 +27,8 @@
 //   - the strategy-independent half of an evaluation is computed once per
 //     run into an evalContext instead of once per strategy: the reference
 //     POIs and a metrics.RawView of the raw dataset — per user, the raw
-//     trajectories as contiguous timestamps beside their positions; the raw
-//     visited cells of the analysis grid; the raw top-k crowded cells; and
+//     trajectories, whose records it reads in place; the raw visited cells
+//     of the analysis grid; the raw top-k crowded cells; and
 //     the traffic baseline (the held-out last day's counts and the error
 //     of the forecaster trained on the days before it);
 //   - each strategy then costs one pass over the users: every trajectory is
@@ -48,7 +48,8 @@
 //   - memory is one trajectory in flight per worker, plus the winner,
 //     which is protected again once every strategy is scored to build the
 //     release (EvaluateContext protects nothing a second time); no
-//     protected dataset is built while scoring;
+//     protected dataset is built while scoring, and a release no cache
+//     shares is pseudonymised in place, not copied;
 //   - PublishContext, EvaluateContext and PublishShardedContext take the
 //     caller's context.Context and abandon the run promptly when it is
 //     cancelled.

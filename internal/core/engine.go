@@ -333,21 +333,22 @@ func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, b
 	return cs, nil
 }
 
-// handOut returns the release a publication gives its caller. With a
-// cache the protected data is shared with cached selections, so the caller
-// gets the one copy of it: the pseudonymizer makes that copy, and without
-// a pseudonym key the release is cloned. Cache-less releases are the run's
-// own and leave uncopied.
+// handOut returns the release a publication gives its caller. It is
+// copied only when a cache shares it with cached selections: then the
+// caller gets the one copy, which the pseudonymizer renames. A cache-less
+// release is the run's own — lppm.ProtectDatasetContext built its
+// trajectories, and nothing else holds them — so it is pseudonymised in
+// place, and handed out uncopied.
 func (m *Middleware) handOut(release *trace.Dataset) (*trace.Dataset, error) {
+	if m.cache != nil {
+		release = release.Clone()
+	}
 	if len(m.cfg.PseudonymKey) > 0 {
 		p, err := trace.NewPseudonymizer(m.cfg.PseudonymKey)
 		if err != nil {
 			return nil, fmt.Errorf("core: pseudonymizer: %w", err)
 		}
-		return p.Apply(release), nil
-	}
-	if m.cache != nil {
-		return release.Clone(), nil
+		p.Rename(release)
 	}
 	return release, nil
 }

@@ -224,18 +224,28 @@ func TestRangeSplitMatchesSequential(t *testing.T) {
 // TestReleaseSurvivesNextPublication: the engine reuses its buffers from
 // one publication to the next, so a release must own its records — its
 // content hash cannot move when the same middleware publishes again, cold
-// or through a cache.
+// or through a cache, with or without pseudonyms. A cache-less release is
+// pseudonymised in place, and that must never reach the caller's input.
 func TestReleaseSurvivesNextPublication(t *testing.T) {
 	ds := fixture(t)
+	inputs := []*trace.Dataset{ds, grown(ds), ds, shifted(ds, 1)}
+	inputHashes := make([][trace.HashSize]byte, len(inputs))
+	for i, in := range inputs {
+		inputHashes[i] = in.ContentHash()
+	}
 	policy := mustPolicy(t)(NewShardByUser(3))
-	for _, cache := range []evalcache.Cache{nil, evalcache.NewLRU(0)} {
-		m, err := New(Config{Parallelism: 2, Cache: cache}, lyon)
+	for _, c := range []struct {
+		cache evalcache.Cache
+		key   []byte
+	}{{nil, nil}, {evalcache.NewLRU(0), nil}, {nil, []byte("k")}, {evalcache.NewLRU(0), []byte("k")}} {
+		cache := c.cache
+		m, err := New(Config{Parallelism: 2, Cache: cache, PseudonymKey: c.key}, lyon)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var kept []*trace.Dataset
 		var hashes [][trace.HashSize]byte
-		for _, in := range []*trace.Dataset{ds, grown(ds), ds, shifted(ds, 1)} {
+		for _, in := range inputs {
 			rel, _, err := m.PublishContext(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
@@ -250,8 +260,13 @@ func TestReleaseSurvivesNextPublication(t *testing.T) {
 			}
 			for i, r := range kept {
 				if r.ContentHash() != hashes[i] {
-					t.Fatalf("cache %v: release %d changed after a later publication", cache != nil, i)
+					t.Fatalf("cache %v, key %q: release %d changed after a later publication", cache != nil, c.key, i)
 				}
+			}
+		}
+		for i, in := range inputs {
+			if in.ContentHash() != inputHashes[i] {
+				t.Fatalf("cache %v, key %q: publishing changed input %d", cache != nil, c.key, i)
 			}
 		}
 	}

@@ -98,7 +98,7 @@ func (s shardByWindow) Assign(raw *trace.Dataset) ([]string, error) {
 		if len(t.Records) == 0 {
 			continue
 		}
-		start := t.Records[0].Time.UTC().Truncate(s.window)
+		start := t.Records[0].Time.Time().Truncate(s.window)
 		keys[i] = "window/" + start.Format(time.RFC3339)
 	}
 	return keys, nil

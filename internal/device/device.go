@@ -106,7 +106,12 @@ func (d *Device) Info() transport.DeviceInfo {
 }
 
 // PositionAt returns the ground-truth position at ts.
-func (d *Device) PositionAt(ts time.Time) (geo.Point, bool) { return d.move.At(ts) }
+func (d *Device) PositionAt(ts time.Time) (geo.Point, bool) {
+	if !trace.InRange(ts) {
+		return geo.Point{}, false
+	}
+	return d.move.At(trace.InstantOf(ts))
+}
 
 // SampleAt produces one filtered GPS record at ts, draining the battery.
 // ok is false when the device cannot sample (off trajectory, dead battery,
@@ -115,7 +120,7 @@ func (d *Device) SampleAt(ts time.Time) (filter.Record, bool) {
 	if d.battery.Dead() {
 		return filter.Record{}, false
 	}
-	pos, inRange := d.move.At(ts)
+	pos, inRange := d.PositionAt(ts)
 	if !inRange {
 		return filter.Record{}, false
 	}
@@ -178,9 +183,9 @@ func (d *Device) RunTask(spec transport.TaskSpec) (*RunResult, error) {
 	}
 
 	period := time.Duration(spec.PeriodSeconds) * time.Second
-	start := d.move.Records[0].Time
-	end := d.move.Records[d.move.Len()-1].Time
-	prevPos, _ := d.move.At(start)
+	start := d.move.Records[0].Time.Time()
+	end := d.move.Records[d.move.Len()-1].Time.Time()
+	prevPos, _ := d.PositionAt(start)
 	prevTime := start
 	for ts := start; !ts.After(end); ts = ts.Add(period) {
 		if d.battery.Dead() {
@@ -190,7 +195,7 @@ func (d *Device) RunTask(spec transport.TaskSpec) (*RunResult, error) {
 		if spec.MaxRecords > 0 && len(res.Upload.Records) >= spec.MaxRecords {
 			break
 		}
-		pos, ok := d.move.At(ts)
+		pos, ok := d.PositionAt(ts)
 		if !ok {
 			continue
 		}

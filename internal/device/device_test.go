@@ -22,7 +22,7 @@ func movement() *trace.Trajectory {
 	tr := &trace.Trajectory{User: "alice"}
 	for i := 0; i <= 60; i++ {
 		tr.Records = append(tr.Records, trace.Record{
-			Time: t0.Add(time.Duration(i) * time.Minute),
+			Time: trace.InstantOf(t0.Add(time.Duration(i) * time.Minute)),
 			Pos:  geo.Translate(lyon, 90*float64(i), 0),
 		})
 	}

@@ -92,7 +92,10 @@ func (h *Honeycomb) BuildDataset(taskID string, deviceUser map[string]string) *t
 }
 
 // UploadsToDataset converts raw uploads to a dataset using the given
-// device-to-user mapping; unknown devices fall back to their device ID.
+// device-to-user mapping; unknown devices fall back to their device ID. It
+// skips a record that is not a GPS fix, one whose position is not a WGS84
+// coordinate (geo.Point.Valid) and one whose time an Instant cannot hold
+// (trace.InRange).
 func UploadsToDataset(ups []transport.Upload, deviceUser map[string]string) *trace.Dataset {
 	ds := trace.NewDataset()
 	for _, up := range ups {
@@ -104,13 +107,11 @@ func UploadsToDataset(ups []transport.Upload, deviceUser map[string]string) *tra
 		for _, rec := range up.Records {
 			lat, okLat := rec.Data["lat"].(float64)
 			lon, okLon := rec.Data["lon"].(float64)
-			if !okLat || !okLon {
+			pos, ts := geo.Point{Lat: lat, Lon: lon}, time.UnixMilli(rec.TimeMillis)
+			if !okLat || !okLon || !pos.Valid() || !trace.InRange(ts) {
 				continue
 			}
-			tr.Records = append(tr.Records, trace.Record{
-				Time: time.UnixMilli(rec.TimeMillis).UTC(),
-				Pos:  geo.Point{Lat: lat, Lon: lon},
-			})
+			tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: pos})
 		}
 		if len(tr.Records) > 0 {
 			tr.Sort()

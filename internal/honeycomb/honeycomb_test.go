@@ -3,12 +3,15 @@ package honeycomb
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"apisense/internal/core"
 	"apisense/internal/device"
+	"apisense/internal/geo"
 	"apisense/internal/hive"
 	"apisense/internal/mobgen"
 	"apisense/internal/trace"
@@ -147,16 +150,40 @@ func TestUploadsToDataset(t *testing.T) {
 			{Sensor: "gps", TimeMillis: 1000, Data: map[string]any{"lat": 45.9, "lon": 4.9}},
 		}},
 		{DeviceID: "empty", Records: nil},
+		// Only the fixes at the first and last milliseconds an Instant
+		// holds survive: positions off the globe and times past them are
+		// skipped as non-GPS records are.
+		{DeviceID: "d3", Records: []transport.UploadRecord{
+			{Sensor: "gps", TimeMillis: 1000, Data: map[string]any{"lat": 500.0, "lon": 4.8}},
+			{Sensor: "gps", TimeMillis: 1000, Data: map[string]any{"lat": 45.7, "lon": -200.0}},
+			{Sensor: "gps", TimeMillis: 1000, Data: map[string]any{"lat": math.NaN(), "lon": 4.8}},
+			{Sensor: "gps", TimeMillis: 9223372036855, Data: map[string]any{"lat": 45.7, "lon": 4.8}},
+			{Sensor: "gps", TimeMillis: -9223372036855, Data: map[string]any{"lat": 45.7, "lon": 4.8}},
+			{Sensor: "gps", TimeMillis: 10413792000000, Data: map[string]any{"lat": 45.7, "lon": 4.8}}, // 2300-01-01
+			{Sensor: "gps", TimeMillis: 9223372036854, Data: map[string]any{"lat": 45.7, "lon": 4.8}},
+			{Sensor: "gps", TimeMillis: -9223372036854, Data: map[string]any{"lat": -90.0, "lon": 180.0}},
+		}},
+		{DeviceID: "d4", Records: []transport.UploadRecord{
+			{Sensor: "gps", TimeMillis: 1000, Data: map[string]any{"lat": 91.0, "lon": 4.8}},
+		}},
 	}
 	ds := UploadsToDataset(ups, map[string]string{"d1": "alice"})
-	if ds.Len() != 2 {
-		t.Fatalf("dataset has %d trajectories, want 2", ds.Len())
+	if ds.Len() != 3 {
+		t.Fatalf("dataset has %d trajectories, want 3", ds.Len())
+	}
+	d3 := ds.Trajectories[2]
+	want := []trace.Record{
+		{Time: trace.Instant(-9223372036854 * 1e6), Pos: geo.Point{Lat: -90, Lon: 180}},
+		{Time: trace.Instant(9223372036854 * 1e6), Pos: geo.Point{Lat: 45.7, Lon: 4.8}},
+	}
+	if d3.User != "d3" || !reflect.DeepEqual(d3.Records, want) {
+		t.Errorf("d3 = %s %v, want the two in-range valid fixes %v", d3.User, d3.Records, want)
 	}
 	// d1: records sorted by time, battery skipped.
 	if ds.Trajectories[0].User != "alice" || ds.Trajectories[0].Len() != 2 {
 		t.Errorf("first trajectory = %s/%d", ds.Trajectories[0].User, ds.Trajectories[0].Len())
 	}
-	if !ds.Trajectories[0].Records[0].Time.Before(ds.Trajectories[0].Records[1].Time) {
+	if ds.Trajectories[0].Records[0].Time >= ds.Trajectories[0].Records[1].Time {
 		t.Error("records not sorted")
 	}
 	// d2 falls back to device id.

@@ -26,7 +26,7 @@ func concurrencyFixture() *trace.Dataset {
 		}
 		for i := 0; i < n; i++ {
 			tr.Records = append(tr.Records, trace.Record{
-				Time: base.Add(time.Duration(i) * 30 * time.Second),
+				Time: trace.InstantOf(base.Add(time.Duration(i) * 30 * time.Second)),
 				Pos: geo.Point{
 					Lat: 45.76 + float64(u)*0.001 + float64(i)*0.0001,
 					Lon: 4.83 + float64(u)*0.001,

@@ -19,13 +19,13 @@ func ExampleSpeedSmoothing() {
 	// Eight hours parked at home...
 	for i := 0; i < 8*60; i++ {
 		day.Records = append(day.Records, trace.Record{
-			Time: start.Add(time.Duration(i) * time.Minute), Pos: home,
+			Time: trace.InstantOf(start.Add(time.Duration(i) * time.Minute)), Pos: home,
 		})
 	}
 	// ...then a 6 km trip east over one hour.
 	for i := 0; i <= 60; i++ {
 		day.Records = append(day.Records, trace.Record{
-			Time: start.Add(8*time.Hour + time.Duration(i)*time.Minute),
+			Time: trace.InstantOf(start.Add(8*time.Hour + time.Duration(i)*time.Minute)),
 			Pos:  geo.Translate(home, float64(i)*100, 0),
 		})
 	}

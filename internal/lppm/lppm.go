@@ -117,7 +117,7 @@ func trajectoryRNG(seed uint64, t *trace.Trajectory) *rand.Rand {
 	h.Write([]byte(t.User))
 	if len(t.Records) > 0 {
 		var buf [8]byte
-		n := t.Records[0].Time.UnixNano()
+		n := t.Records[0].Time
 		for i := 0; i < 8; i++ {
 			buf[i] = byte(n >> (8 * i))
 		}

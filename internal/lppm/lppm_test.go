@@ -21,7 +21,7 @@ func walk(user string, n int, vMS float64, step time.Duration) *trace.Trajectory
 	tr := &trace.Trajectory{User: user}
 	for i := 0; i < n; i++ {
 		tr.Records = append(tr.Records, trace.Record{
-			Time: t0.Add(time.Duration(i) * step),
+			Time: trace.InstantOf(t0.Add(time.Duration(i) * step)),
 			Pos:  geo.Translate(lyon, vMS*step.Seconds()*float64(i), 0),
 		})
 	}

@@ -102,7 +102,7 @@ func fuzzTrajectory(data []byte) *trace.Trajectory {
 	for ; len(data) >= 3; data = data[3:] {
 		at = at.Add(time.Duration(data[0]) * time.Minute)
 		tr.Records = append(tr.Records, trace.Record{
-			Time:     at,
+			Time:     trace.InstantOf(at),
 			Pos:      geo.Translate(lyon, float64(int8(data[1]))*40, float64(int8(data[2]))*40),
 			Accuracy: float64(data[0] % 7),
 		})
@@ -125,7 +125,7 @@ func FuzzMechanismAppend(f *testing.F) {
 		}
 		tr := fuzzTrajectory(data)
 		before := slices.Clone(tr.Records)
-		junk := trace.Record{Time: t0.Add(-time.Hour), Pos: geo.Point{Lat: -1, Lon: -1}, Accuracy: 99}
+		junk := trace.Record{Time: trace.InstantOf(t0.Add(-time.Hour)), Pos: geo.Point{Lat: -1, Lon: -1}, Accuracy: 99}
 		for name, m := range ms {
 			want, err := m.Protect(nil, tr)
 			if err != nil {

@@ -74,7 +74,7 @@ func (s *SpeedSmoothing) Protect(dst []trace.Record, t *trace.Trajectory) ([]tra
 	start := t.Records[0].Time
 	span := t.Records[len(t.Records)-1].Time.Sub(start)
 	for i := range n {
-		var ts time.Time
+		var ts trace.Instant
 		if n == 1 {
 			ts = start.Add(span / 2)
 		} else {

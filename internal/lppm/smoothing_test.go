@@ -19,7 +19,7 @@ func dayWithStops() (*trace.Trajectory, geo.Point, geo.Point) {
 	ts := time.Date(2014, 12, 8, 0, 0, 0, 0, time.UTC)
 	stay := func(at geo.Point, d time.Duration) {
 		for end := ts.Add(d); ts.Before(end); ts = ts.Add(time.Minute) {
-			tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: at})
+			tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: at})
 		}
 	}
 	move := func(from, to geo.Point, speed float64) {
@@ -28,7 +28,7 @@ func dayWithStops() (*trace.Trajectory, geo.Point, geo.Point) {
 		start := ts
 		for end := ts.Add(dur); ts.Before(end); ts = ts.Add(time.Minute) {
 			frac := float64(ts.Sub(start)) / float64(dur)
-			tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: geo.Lerp(from, to, frac)})
+			tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: geo.Lerp(from, to, frac)})
 		}
 	}
 	stay(home, 8*time.Hour)
@@ -165,7 +165,7 @@ func TestSmoothingSuppressesStationaryTrajectory(t *testing.T) {
 	tr := &trace.Trajectory{User: "static"}
 	ts := time.Date(2014, 12, 8, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 100; i++ {
-		tr.Records = append(tr.Records, trace.Record{Time: ts.Add(time.Duration(i) * time.Minute), Pos: lyon})
+		tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts.Add(time.Duration(i) * time.Minute)), Pos: lyon})
 	}
 	s, err := NewSpeedSmoothing(100, 2)
 	if err != nil {

@@ -43,33 +43,26 @@ func SpatialDistortion(raw, protected *trace.Dataset) DistortionStats {
 	return scan.stats()
 }
 
-// track is one raw trajectory as the distortion scan reads it: timestamps
-// as contiguous UnixNano beside their positions, so locating an instant
-// compares integers instead of calling into time.Time. Instants are
-// therefore ordered as UnixNano orders them, which is the order of
-// time.Time between the years 1678 and 2262.
+// track is one raw trajectory as the distortion scan reads it: its records
+// in place, located by comparing their integer instants.
 type track struct {
-	ts  []int64
-	pos []geo.Point
-	// ascending reports that ts is sorted, as Trajectory documents; only
-	// then may a cursor stand in for the binary search.
+	recs []trace.Record
+	// ascending reports that recs are in time order, as Trajectory
+	// documents; only then may a cursor stand in for the binary search.
 	ascending bool
 }
 
-// newTracks lays out every raw trajectory as a track, per user and in
-// dataset order.
+// newTracks groups the raw trajectories per user, in dataset order. It
+// copies no record: the tracks read raw, which must not change while they
+// are in use.
 func newTracks(raw *trace.Dataset) map[string][]track {
-	n := raw.NumRecords()
-	ts, pos := make([]int64, n), make([]geo.Point, n)
 	tracks := make(map[string][]track)
 	for _, t := range raw.Trajectories {
-		k := len(t.Records)
-		tk := track{ts: ts[:k:k], pos: pos[:k:k], ascending: true}
-		ts, pos = ts[k:], pos[k:]
-		for i, r := range t.Records {
-			tk.ts[i], tk.pos[i] = r.Time.UnixNano(), r.Pos
-			if i > 0 && tk.ts[i] < tk.ts[i-1] {
+		tk := track{recs: t.Records, ascending: true}
+		for i := 1; i < len(t.Records); i++ {
+			if t.Records[i].Time < t.Records[i-1].Time {
 				tk.ascending = false
+				break
 			}
 		}
 		tracks[t.User] = append(tracks[t.User], tk)
@@ -77,14 +70,14 @@ func newTracks(raw *trace.Dataset) map[string][]track {
 	return tracks
 }
 
-// locate returns the first index whose timestamp is not before q, probing
+// locate returns the first index whose instant is not before q, probing
 // exactly as sort.Search does so that a track that is not ascending yields
 // what Trajectory.At yields on it.
-func (tk *track) locate(q int64) int {
-	i, j := 0, len(tk.ts)
+func (tk *track) locate(q trace.Instant) int {
+	i, j := 0, len(tk.recs)
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if tk.ts[h] < q {
+		if tk.recs[h].Time < q {
 			i = h + 1
 		} else {
 			j = h
@@ -94,19 +87,19 @@ func (tk *track) locate(q int64) int {
 }
 
 // locateFrom is locate for an ascending track given a lower bound: every
-// index before from holds a timestamp before q, and q is not after the last
-// timestamp. It gallops forward from the bound, so a run of queries in time
+// index before from holds an instant before q, and q is not after the last
+// instant. It gallops forward from the bound, so a run of queries in time
 // order costs the distance travelled rather than a full search each.
-func (tk *track) locateFrom(from int, q int64) int {
-	if tk.ts[from] >= q {
+func (tk *track) locateFrom(from int, q trace.Instant) int {
+	if tk.recs[from].Time >= q {
 		return from
 	}
-	lo, step, last := from, 1, len(tk.ts)-1
+	lo, step, last := from, 1, len(tk.recs)-1
 	for {
 		hi := min(lo+step, last)
-		if tk.ts[hi] >= q {
+		if tk.recs[hi].Time >= q {
 			for lo+1 < hi {
-				if mid := int(uint(lo+hi) >> 1); tk.ts[mid] >= q {
+				if mid := int(uint(lo+hi) >> 1); tk.recs[mid].Time >= q {
 					hi = mid
 				} else {
 					lo = mid
@@ -120,16 +113,17 @@ func (tk *track) locateFrom(from int, q int64) int {
 
 // at interpolates the position at the located index i, as Trajectory.At
 // does.
-func (tk *track) at(i int, q int64) geo.Point {
+func (tk *track) at(i int, q trace.Instant) geo.Point {
 	if i == 0 {
-		return tk.pos[0]
+		return tk.recs[0].Pos
 	}
-	span := tk.ts[i] - tk.ts[i-1]
+	prev, next := &tk.recs[i-1], &tk.recs[i]
+	span := next.Time - prev.Time
 	if span <= 0 {
-		return tk.pos[i]
+		return next.Pos
 	}
-	frac := float64(q-tk.ts[i-1]) / float64(span)
-	return geo.Lerp(tk.pos[i-1], tk.pos[i], frac)
+	frac := float64(q-prev.Time) / float64(span)
+	return geo.Lerp(prev.Pos, next.Pos, frac)
 }
 
 // distortionScan is the time-aligned half of the scoring kernel: it sums,
@@ -151,7 +145,7 @@ type distortionScan struct {
 
 type cursor struct {
 	i int
-	q int64
+	q trace.Instant
 }
 
 // add scans one protected trajectory against its user's raw tracks.
@@ -164,11 +158,11 @@ func (s *distortionScan) add(pt *trace.Trajectory, raw []track) {
 		s.cursors = append(s.cursors, cursor{q: math.MinInt64})
 	}
 	for _, r := range pt.Records {
-		q := r.Time.UnixNano()
+		q := r.Time
 		for j := range raw {
 			tk := &raw[j]
-			n := len(tk.ts)
-			if n == 0 || q < tk.ts[0] || q > tk.ts[n-1] {
+			n := len(tk.recs)
+			if n == 0 || q < tk.recs[0].Time || q > tk.recs[n-1].Time {
 				continue
 			}
 			// An out-of-order protected record restarts the cursor.

@@ -19,7 +19,7 @@ func TestFlowMatrixCountsTransitions(t *testing.T) {
 	// a a a b b a : flows a->b and b->a once each.
 	positions := []geo.Point{a, a, a, b, b, a}
 	for i, p := range positions {
-		tr.Records = append(tr.Records, trace.Record{Time: t0.Add(time.Duration(i) * time.Minute), Pos: p})
+		tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(t0.Add(time.Duration(i) * time.Minute)), Pos: p})
 	}
 	ds := trace.NewDataset()
 	ds.Add(tr)

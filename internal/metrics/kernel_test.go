@@ -200,7 +200,7 @@ func traj(user string, base time.Time, fixes ...[3]float64) *trace.Trajectory {
 	t := &trace.Trajectory{User: user}
 	for _, f := range fixes {
 		t.Records = append(t.Records, trace.Record{
-			Time: base.Add(time.Duration(f[0] * float64(time.Minute))),
+			Time: trace.InstantOf(base.Add(time.Duration(f[0] * float64(time.Minute)))),
 			Pos:  geo.Translate(lyon, f[1], f[2]),
 		})
 	}
@@ -289,9 +289,9 @@ func TestKernelMatchesReferenceOnEdgeCases(t *testing.T) {
 			name: "a NaN coordinate in the release",
 			raw:  dataset(traj("a", t0, walk...)),
 			prot: dataset(&trace.Trajectory{User: "a", Records: []trace.Record{
-				{Time: t0.Add(time.Minute), Pos: lyon},
-				{Time: t0.Add(2 * time.Minute), Pos: geo.Point{Lat: math.NaN(), Lon: lyon.Lon}},
-				{Time: t0.Add(3 * time.Minute), Pos: lyon},
+				{Time: trace.InstantOf(t0.Add(time.Minute)), Pos: lyon},
+				{Time: trace.InstantOf(t0.Add(2 * time.Minute)), Pos: geo.Point{Lat: math.NaN(), Lon: lyon.Lon}},
+				{Time: trace.InstantOf(t0.Add(3 * time.Minute)), Pos: lyon},
 			}}),
 		},
 	}
@@ -320,7 +320,7 @@ func TestTallyTablesGrowAgainstReference(t *testing.T) {
 				cell = geo.Cell{Row: j / g.Cols(), Col: j % g.Cols()}
 			}
 			tr.Records = append(tr.Records, trace.Record{
-				Time: t0.Add(time.Duration(i) * 3 * time.Minute),
+				Time: trace.InstantOf(t0.Add(time.Duration(i) * 3 * time.Minute)),
 				Pos:  g.CenterOf(cell),
 			})
 		}
@@ -354,7 +354,7 @@ func TestLongStayAcrossHours(t *testing.T) {
 	g := testGrid(t)
 	stay := &trace.Trajectory{User: "a"}
 	for i := 0; i < 300; i++ {
-		stay.Records = append(stay.Records, trace.Record{Time: t0.Add(14*time.Hour + time.Duration(i)*time.Minute), Pos: lyon})
+		stay.Records = append(stay.Records, trace.Record{Time: trace.InstantOf(t0.Add(14*time.Hour + time.Duration(i)*time.Minute)), Pos: lyon})
 	}
 	d := dataset(stay)
 	tc := CountTraffic(d, g)
@@ -717,7 +717,7 @@ func decodeFuzzDatasets(data []byte) (raw, prot *trace.Dataset, cut time.Time) {
 		}
 		tr := d.Trajectories[d.Len()-1]
 		tr.Records = append(tr.Records, trace.Record{
-			Time: origin.Add(time.Duration(rest[1]) * 17 * time.Minute),
+			Time: trace.InstantOf(origin.Add(time.Duration(rest[1]) * 17 * time.Minute)),
 			Pos:  geo.Translate(lyon, (float64(rest[2])-128)*150, (float64(rest[3])-128)*150),
 		})
 	}

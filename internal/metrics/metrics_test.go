@@ -37,7 +37,7 @@ func clusterDataset(at geo.Point, nUsers int, userPrefix string) *trace.Dataset 
 		tr := &trace.Trajectory{User: userPrefix + string(rune('a'+u))}
 		for i := 0; i < 60; i++ {
 			tr.Records = append(tr.Records, trace.Record{
-				Time: t0.Add(time.Duration(i) * time.Minute),
+				Time: trace.InstantOf(t0.Add(time.Duration(i) * time.Minute)),
 				Pos:  at,
 			})
 		}
@@ -164,7 +164,7 @@ func TestCountTrafficAndForecast(t *testing.T) {
 			base := t0.AddDate(0, 0, day)
 			for i := 0; i < 30; i++ {
 				tr.Records = append(tr.Records, trace.Record{
-					Time: base.Add(time.Duration(i) * time.Minute),
+					Time: trace.InstantOf(base.Add(time.Duration(i) * time.Minute)),
 					Pos:  hot,
 				})
 			}
@@ -257,7 +257,7 @@ func TestSpatialDistortion(t *testing.T) {
 	tr := &trace.Trajectory{User: "alice"}
 	for i := 0; i < 10; i++ {
 		tr.Records = append(tr.Records, trace.Record{
-			Time: t0.Add(time.Duration(i) * time.Minute),
+			Time: trace.InstantOf(t0.Add(time.Duration(i) * time.Minute)),
 			Pos:  lyon,
 		})
 	}

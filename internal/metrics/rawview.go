@@ -10,11 +10,11 @@ import (
 // RawView is the strategy-independent half of scoring a protected release
 // against its raw dataset, prepared once and then read concurrently by one
 // Score call per candidate strategy. It holds, per user, the raw
-// trajectories as contiguous timestamps beside their positions; the raw
-// visited cells; the raw top-k crowded cells; and, when the dataset
-// supports a train/test split, the held-out actual traffic and the error of
-// the forecaster trained on the raw training days. A RawView is immutable
-// once built.
+// trajectories, whose records it reads in place; the raw visited cells; the
+// raw top-k crowded cells; and, when the dataset supports a train/test
+// split, the held-out actual traffic and the error of the forecaster
+// trained on the raw training days. A RawView is immutable once built, and
+// the raw dataset must not change while it is in use.
 type RawView struct {
 	grid    *geo.Grid
 	cells   idTable // raw visited cells, numbered as in every Score tally; never added to after NewRawView
@@ -26,7 +26,7 @@ type RawView struct {
 
 // trafficSplit is the raw side of the traffic-forecasting score.
 type trafficSplit struct {
-	cut     time.Time
+	cut     trace.Instant
 	actual  []hourMean // held-out days, sorted by cell-hour
 	baseMAE float64    // error of the forecaster trained on the raw days before cut
 }
@@ -51,7 +51,7 @@ func NewRawView(raw *trace.Dataset, g *geo.Grid, k int, cut time.Time) *RawView 
 	if train.Len() > 0 && test.Len() > 0 {
 		actual := tallyCells(test, g, true).hourlyMeans()
 		v.traffic = &trafficSplit{
-			cut:     cut,
+			cut:     trace.InstantOf(cut), // in range: a raw trajectory starts on either side
 			actual:  actual,
 			baseMAE: forecastError(tallyCells(train, g, true).hourlyMeans(), actual).MAE,
 		}
@@ -135,7 +135,7 @@ var noCells idTable
 // no two users of the releases merged into one Scorer may share a uid.
 func (s *Scorer) Add(t *trace.Trajectory, uid int32) {
 	v := s.view
-	train := v.traffic != nil && len(t.Records) > 0 && t.Records[0].Time.Before(v.traffic.cut)
+	train := v.traffic != nil && len(t.Records) > 0 && t.Records[0].Time < v.traffic.cut
 	s.trained = s.trained || train
 	s.cells.add(t, uid, train)
 	s.scan.add(t, v.tracks[t.User])

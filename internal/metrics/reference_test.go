@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/big"
 	"sort"
-	"time"
 
 	"apisense/internal/geo"
 	"apisense/internal/trace"
@@ -131,7 +130,7 @@ func refCountTraffic(d *trace.Dataset, g *geo.Grid) *TrafficCounts {
 	seen := make(map[visitKey]bool)
 	for _, t := range d.Trajectories {
 		for _, r := range t.Records {
-			utc := r.Time.UTC()
+			utc := r.Time.Time()
 			ch := CellHour{Cell: g.CellOf(r.Pos), Hour: utc.Hour()}
 			day := utc.Format("2006-01-02")
 			k := visitKey{ch: ch, day: day, user: t.User}
@@ -271,7 +270,7 @@ func refSpatialDistortion(raw, protected *trace.Dataset) DistortionStats {
 
 // refPositionAt finds the user's interpolated position at ts across their raw
 // trajectories.
-func refPositionAt(trajs []*trace.Trajectory, ts time.Time) (geo.Point, bool) {
+func refPositionAt(trajs []*trace.Trajectory, ts trace.Instant) (geo.Point, bool) {
 	for _, t := range trajs {
 		if p, ok := t.At(ts); ok {
 			return p, true

@@ -165,7 +165,7 @@ func sampleItinerary(user string, it itinerary, cfg Config, rng *rand.Rand) *tra
 		if cfg.GPSNoise > 0 {
 			pos = geo.Translate(pos, rng.NormFloat64()*cfg.GPSNoise, rng.NormFloat64()*cfg.GPSNoise)
 		}
-		tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: pos, Accuracy: cfg.GPSNoise})
+		tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: pos, Accuracy: cfg.GPSNoise})
 	}
 	return tr
 }

@@ -99,6 +99,9 @@ func (c Config) Validate() error {
 	if c.Dropout < 0 || c.Dropout >= 1 {
 		return fmt.Errorf("mobgen: Dropout must be in [0,1), got %v", c.Dropout)
 	}
+	if !c.Start.IsZero() && (!trace.InRange(c.Start) || !trace.InRange(c.Start.AddDate(0, 0, c.Days))) {
+		return fmt.Errorf("mobgen: the %d days from Start %v must lie between 1677 and 2262", c.Days, c.Start)
+	}
 	return nil
 }
 

@@ -156,7 +156,7 @@ func TestNightIsAtHome(t *testing.T) {
 			t.Fatalf("unknown user %s", tr.User)
 		}
 		for _, r := range tr.Records {
-			h := r.Time.UTC().Hour()
+			h := r.Time.Time().Hour()
 			if h >= 2 && h < 6 { // deep night
 				if d := geo.Distance(r.Pos, res.Home); d > 30 {
 					t.Fatalf("%s at %v is %f m from home at night", tr.User, r.Time, d)

@@ -33,7 +33,7 @@ func TestWeekendSkipsWork(t *testing.T) {
 		// would produce dozens; passing through produces a handful.
 		atWork := 0
 		for _, r := range tr.Records {
-			h := r.Time.UTC().Hour()
+			h := r.Time.Time().Hour()
 			if h >= 10 && h < 16 && geo.Distance(r.Pos, res.Work) < 30 {
 				atWork++
 			}
@@ -59,7 +59,7 @@ func TestWeekdayMorningCommute(t *testing.T) {
 		}
 		moving := 0
 		for i := 1; i < tr.Len(); i++ {
-			h := tr.Records[i].Time.UTC().Hour()
+			h := tr.Records[i].Time.Time().Hour()
 			if h < 7 || h > 10 {
 				continue
 			}

@@ -3,7 +3,6 @@ package poi
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"apisense/internal/geo"
 	"apisense/internal/trace"
@@ -149,8 +148,8 @@ func (d *DJCluster) Extract(t *trace.Trajectory) []POI {
 	// Build one POI per cluster.
 	type agg struct {
 		pts   []geo.Point
-		enter time.Time
-		leave time.Time
+		enter trace.Instant
+		leave trace.Instant
 	}
 	clusters := make(map[int]*agg)
 	for i, lbl := range labels {
@@ -163,12 +162,8 @@ func (d *DJCluster) Extract(t *trace.Trajectory) []POI {
 			clusters[lbl] = a
 		}
 		a.pts = append(a.pts, recs[i].Pos)
-		if recs[i].Time.Before(a.enter) {
-			a.enter = recs[i].Time
-		}
-		if recs[i].Time.After(a.leave) {
-			a.leave = recs[i].Time
-		}
+		a.enter = min(a.enter, recs[i].Time)
+		a.leave = max(a.leave, recs[i].Time)
 	}
 	ids := make([]int, 0, len(clusters))
 	for id := range clusters {

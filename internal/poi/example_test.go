@@ -20,14 +20,14 @@ func ExampleStayPoints() {
 	ts := start
 	stay := func(at geo.Point, hours float64) {
 		for end := ts.Add(time.Duration(hours * float64(time.Hour))); ts.Before(end); ts = ts.Add(time.Minute) {
-			day.Records = append(day.Records, trace.Record{Time: ts, Pos: at})
+			day.Records = append(day.Records, trace.Record{Time: trace.InstantOf(ts), Pos: at})
 		}
 	}
 	commute := func(from, to geo.Point) {
 		dur := time.Duration(geo.Distance(from, to) / 10 * float64(time.Second))
 		for end := ts.Add(dur); ts.Before(end); ts = ts.Add(time.Minute) {
 			frac := 1 - float64(end.Sub(ts))/float64(dur)
-			day.Records = append(day.Records, trace.Record{Time: ts, Pos: geo.Lerp(from, to, frac)})
+			day.Records = append(day.Records, trace.Record{Time: trace.InstantOf(ts), Pos: geo.Lerp(from, to, frac)})
 		}
 	}
 	stay(home, 1.5)

@@ -100,7 +100,7 @@ func TestStayPointsMatchReferenceOnOddInput(t *testing.T) {
 		tr := &trace.Trajectory{User: "u"}
 		for i := range n {
 			tr.Records = append(tr.Records, trace.Record{
-				Time: t0.Add(time.Duration(i) * time.Minute),
+				Time: trace.InstantOf(t0.Add(time.Duration(i) * time.Minute)),
 				Pos:  geo.Point{Lat: start.Lat + float64(i)*dLat, Lon: start.Lon + float64(i)*dLon},
 			})
 		}
@@ -130,7 +130,7 @@ func TestStayPointsMatchReferenceOnOddInput(t *testing.T) {
 		if i%2 == 1 {
 			q.Lat += 1e-4
 		}
-		edge.Records = append(edge.Records, trace.Record{Time: t0.Add(time.Duration(i) * time.Minute), Pos: q})
+		edge.Records = append(edge.Records, trace.Record{Time: trace.InstantOf(t0.Add(time.Duration(i) * time.Minute)), Pos: q})
 	}
 	trs["spaced at the radius"] = edge
 	edgeRadius := geo.Distance(edge.Records[0].Pos, edge.Records[20].Pos)
@@ -184,7 +184,7 @@ func decodeStayTrajectory(data []byte) (*StayPoints, *trace.Trajectory) {
 		if de == math.MinInt16 {
 			p.Lon = math.NaN()
 		}
-		tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: p})
+		tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: p})
 	}
 	return &StayPoints{cfg: cfg}, tr
 }

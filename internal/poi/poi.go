@@ -29,13 +29,13 @@ import (
 	"apisense/internal/trace"
 )
 
-// POI is an extracted point of interest.
+// POI is an extracted point of interest: 40 bytes, no pointer.
 type POI struct {
 	// Center is the centroid of the supporting fixes.
 	Center geo.Point
 	// Enter and Leave bound the (first) visit.
-	Enter time.Time
-	Leave time.Time
+	Enter trace.Instant
+	Leave trace.Instant
 	// Fixes is the number of records supporting the POI.
 	Fixes int
 }
@@ -161,12 +161,8 @@ func Merge(pois []POI, radius float64) []POI {
 					Lon: (m.Center.Lon*float64(m.Fixes) + p.Center.Lon*float64(p.Fixes)) / total,
 				}
 				m.Fixes += p.Fixes
-				if p.Enter.Before(m.Enter) {
-					m.Enter = p.Enter
-				}
-				if p.Leave.After(m.Leave) {
-					m.Leave = p.Leave
-				}
+				m.Enter = min(m.Enter, p.Enter)
+				m.Leave = max(m.Leave, p.Leave)
 				placed = true
 				break
 			}

@@ -20,12 +20,12 @@ func stayThenMove(at geo.Point, dwell time.Duration) *trace.Trajectory {
 	tr := &trace.Trajectory{User: "u"}
 	ts := t0
 	for ; ts.Before(t0.Add(dwell)); ts = ts.Add(time.Minute) {
-		tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: at})
+		tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: at})
 	}
 	start := ts
 	for ; ts.Before(start.Add(10 * time.Minute)); ts = ts.Add(time.Minute) {
 		dx := 10 * ts.Sub(start).Seconds()
-		tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: geo.Translate(at, dx, 0)})
+		tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: geo.Translate(at, dx, 0)})
 	}
 	return tr
 }
@@ -74,7 +74,7 @@ func TestStayPointsMultipleStops(t *testing.T) {
 	ts := t0
 	addStay := func(at geo.Point, d time.Duration) {
 		for end := ts.Add(d); ts.Before(end); ts = ts.Add(time.Minute) {
-			tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: at})
+			tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: at})
 		}
 	}
 	addMove := func(from, to geo.Point) {
@@ -82,7 +82,7 @@ func TestStayPointsMultipleStops(t *testing.T) {
 		dur := time.Duration(dist / 10 * float64(time.Second))
 		for end := ts.Add(dur); ts.Before(end); ts = ts.Add(time.Minute) {
 			frac := 1 - float64(end.Sub(ts))/float64(dur)
-			tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: geo.Lerp(from, to, frac)})
+			tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: geo.Lerp(from, to, frac)})
 		}
 	}
 	addStay(home, time.Hour)
@@ -158,7 +158,7 @@ func TestDJClusterJoinsRevisits(t *testing.T) {
 	away := geo.Translate(lyon, 5000, 0)
 	addStay := func(at geo.Point, d time.Duration) {
 		for end := ts.Add(d); ts.Before(end); ts = ts.Add(time.Minute) {
-			tr.Records = append(tr.Records, trace.Record{Time: ts, Pos: at})
+			tr.Records = append(tr.Records, trace.Record{Time: trace.InstantOf(ts), Pos: at})
 		}
 	}
 	addStay(lyon, time.Hour)
@@ -195,7 +195,7 @@ func TestDJClusterSpeedFilterRemovesTravel(t *testing.T) {
 	tr := &trace.Trajectory{User: "u"}
 	for i := 0; i < 120; i++ {
 		tr.Records = append(tr.Records, trace.Record{
-			Time: t0.Add(time.Duration(i) * time.Minute),
+			Time: trace.InstantOf(t0.Add(time.Duration(i) * time.Minute)),
 			Pos:  geo.Translate(lyon, float64(i)*300, 0), // 5 m/s
 		})
 	}

@@ -113,27 +113,25 @@ func (d *Dataset) Filter(keep func(*Trajectory) bool) *Dataset {
 	return out
 }
 
-// TimeSpan returns the earliest and latest record timestamps. ok is false
-// when the dataset holds no records.
+// TimeSpan returns the earliest and latest record timestamps, in UTC. ok
+// is false when the dataset holds no records.
 func (d *Dataset) TimeSpan() (start, end time.Time, ok bool) {
+	var s, e Instant
 	for _, t := range d.Trajectories {
 		if len(t.Records) == 0 {
 			continue
 		}
-		s := t.Records[0].Time
-		e := t.Records[len(t.Records)-1].Time
+		ts, te := t.Records[0].Time, t.Records[len(t.Records)-1].Time
 		if !ok {
-			start, end, ok = s, e, true
+			s, e, ok = ts, te, true
 			continue
 		}
-		if s.Before(start) {
-			start = s
-		}
-		if e.After(end) {
-			end = e
-		}
+		s, e = min(s, ts), max(e, te)
 	}
-	return start, end, ok
+	if !ok {
+		return time.Time{}, time.Time{}, false
+	}
+	return s.Time(), e.Time(), true
 }
 
 // Stats summarises a dataset.

@@ -9,11 +9,10 @@ import (
 // Canonical content hashing. The evaluation cache (internal/evalcache)
 // addresses entries by what the data *is*, not where it came from, so the
 // digest must be a pure function of the observable trajectory content:
-// user identifier, record timestamps (as UTC instants), positions and
-// accuracies. Every field is encoded fixed-width little-endian with
-// length prefixes, so distinct contents cannot collide by concatenation
-// ("ab"+"c" vs "a"+"bc") and the digest is stable across processes and
-// architectures.
+// user identifier, record instants, positions and accuracies. Every field
+// is encoded fixed-width little-endian with length prefixes, so distinct
+// contents cannot collide by concatenation ("ab"+"c" vs "a"+"bc") and the
+// digest is stable across processes and architectures.
 
 // HashSize is the size in bytes of a content hash (SHA-256).
 const HashSize = sha256.Size
@@ -26,8 +25,7 @@ const (
 // ContentHash returns the canonical digest of the trajectory: the user
 // identifier plus every record's instant (UnixNano), position and
 // accuracy. Two trajectories have equal hashes iff their observable
-// content is equal; monotonic-clock readings and Location values do not
-// participate (instants compare as absolute time).
+// content is equal.
 func (t *Trajectory) ContentHash() [HashSize]byte {
 	h := sha256.New()
 	var buf [hashBatch * recordBytes]byte
@@ -40,7 +38,7 @@ func (t *Trajectory) ContentHash() [HashSize]byte {
 			h.Write(b)
 			b = buf[:0]
 		}
-		b = le.AppendUint64(b, uint64(r.Time.UnixNano()))
+		b = le.AppendUint64(b, uint64(r.Time))
 		b = le.AppendUint64(b, math.Float64bits(r.Pos.Lat))
 		b = le.AppendUint64(b, math.Float64bits(r.Pos.Lon))
 		b = le.AppendUint64(b, math.Float64bits(r.Accuracy))

@@ -14,8 +14,8 @@ func hashFixture() *Trajectory {
 	return &Trajectory{
 		User: "user-1",
 		Records: []Record{
-			{Time: base, Pos: geo.Point{Lat: 45.76, Lon: 4.83}, Accuracy: 5},
-			{Time: base.Add(time.Minute), Pos: geo.Point{Lat: 45.761, Lon: 4.831}},
+			{Time: InstantOf(base), Pos: geo.Point{Lat: 45.76, Lon: 4.83}, Accuracy: 5},
+			{Time: InstantOf(base.Add(time.Minute)), Pos: geo.Point{Lat: 45.761, Lon: 4.831}},
 		},
 	}
 }
@@ -52,13 +52,21 @@ func TestContentHashSensitivity(t *testing.T) {
 	}
 }
 
+// TestContentHashTimezoneInsensitive: a record holds an instant, not a
+// zone, so the same instants read with another UTC offset hash the same.
 func TestContentHashTimezoneInsensitive(t *testing.T) {
-	a, b := hashFixture(), hashFixture()
-	paris := time.FixedZone("CET", 3600)
-	for i := range b.Records {
-		b.Records[i].Time = b.Records[i].Time.In(paris)
+	var hashes [][HashSize]byte
+	for _, rows := range []string{
+		"user-1,2014-12-08T08:00:00Z,45.76,4.83,5\nuser-1,2014-12-08T08:01:00.5Z,45.761,4.831,0\n",
+		"user-1,2014-12-08T09:00:00+01:00,45.76,4.83,5\nuser-1,2014-12-08T09:01:00.5+01:00,45.761,4.831,0\n",
+	} {
+		d, err := ReadCSV(strings.NewReader(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, d.ContentHash())
 	}
-	if a.ContentHash() != b.ContentHash() {
+	if hashes[0] != hashes[1] {
 		t.Error("the same instant in a different zone must hash identically")
 	}
 }
@@ -88,7 +96,7 @@ func goldenTrajectory(user string, n int, loc *time.Location) *Trajectory {
 	tr := &Trajectory{User: user, Records: make([]Record, n)}
 	for i := range tr.Records {
 		tr.Records[i] = Record{
-			Time:     base.Add(time.Duration(i) * 7 * time.Second).In(loc),
+			Time:     InstantOf(base.Add(time.Duration(i) * 7 * time.Second).In(loc)),
 			Pos:      geo.Point{Lat: float64(457600+i) / 10000, Lon: float64(48300-3*i) / 10000},
 			Accuracy: float64(i % 13),
 		}

@@ -25,7 +25,7 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 	for _, t := range d.Trajectories {
 		for _, r := range t.Records {
 			row[0] = t.User
-			row[1] = r.Time.UTC().Format(time.RFC3339Nano)
+			row[1] = r.Time.Time().Format(time.RFC3339Nano)
 			row[2] = strconv.FormatFloat(r.Pos.Lat, 'f', -1, 64)
 			row[3] = strconv.FormatFloat(r.Pos.Lon, 'f', -1, 64)
 			row[4] = strconv.FormatFloat(r.Accuracy, 'f', -1, 64)
@@ -47,7 +47,7 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 // for datasets whose users' trajectories are stored contiguously. A row
 // whose position is not a WGS84 coordinate (geo.Point.Valid: a NaN, a
 // latitude past ±90° or a longitude past ±180°) is an error, as a bad
-// timestamp is.
+// timestamp is, and so is a timestamp outside the span an Instant holds.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 5
@@ -70,6 +70,9 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: csv line %d: bad timestamp %q: %w", line, rec[1], err)
 		}
+		if !InRange(ts) {
+			return nil, fmt.Errorf("trace: csv line %d: timestamp out of range", line)
+		}
 		lat, err := strconv.ParseFloat(rec[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: csv line %d: bad latitude %q: %w", line, rec[2], err)
@@ -91,7 +94,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 			d.Add(cur)
 		}
 		cur.Records = append(cur.Records, Record{
-			Time:     ts,
+			Time:     InstantOf(ts),
 			Pos:      pos,
 			Accuracy: acc,
 		})
@@ -99,7 +102,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// jsonRecord is the wire form of a Record.
+// jsonRecord is the wire form of a Record: its time is written in UTC.
 type jsonRecord struct {
 	Time     time.Time `json:"time"`
 	Lat      float64   `json:"lat"`
@@ -117,22 +120,26 @@ type jsonTrajectory struct {
 func (t *Trajectory) MarshalJSON() ([]byte, error) {
 	jt := jsonTrajectory{User: t.User, Records: make([]jsonRecord, len(t.Records))}
 	for i, r := range t.Records {
-		jt.Records[i] = jsonRecord{Time: r.Time, Lat: r.Pos.Lat, Lon: r.Pos.Lon, Accuracy: r.Accuracy}
+		jt.Records[i] = jsonRecord{Time: r.Time.Time(), Lat: r.Pos.Lat, Lon: r.Pos.Lon, Accuracy: r.Accuracy}
 	}
 	return json.Marshal(jt)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. A time outside the span an
+// Instant holds is an error.
 func (t *Trajectory) UnmarshalJSON(data []byte) error {
 	var jt jsonTrajectory
 	if err := json.Unmarshal(data, &jt); err != nil {
 		return fmt.Errorf("trace: unmarshal trajectory: %w", err)
 	}
-	t.User = jt.User
-	t.Records = make([]Record, len(jt.Records))
+	recs := make([]Record, len(jt.Records))
 	for i, r := range jt.Records {
-		t.Records[i] = Record{Time: r.Time, Pos: geoPoint(r.Lat, r.Lon), Accuracy: r.Accuracy}
+		if !InRange(r.Time) {
+			return fmt.Errorf("trace: unmarshal trajectory: record %d: timestamp out of range", i)
+		}
+		recs[i] = Record{Time: InstantOf(r.Time), Pos: geoPoint(r.Lat, r.Lon), Accuracy: r.Accuracy}
 	}
+	t.User, t.Records = jt.User, recs
 	return nil
 }
 

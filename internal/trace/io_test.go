@@ -31,7 +31,7 @@ func datasetsEqual(t *testing.T, a, b *Dataset) {
 		}
 		for j := range ta.Records {
 			ra, rb := ta.Records[j], tb.Records[j]
-			if !ra.Time.Equal(rb.Time) || ra.Pos != rb.Pos || ra.Accuracy != rb.Accuracy {
+			if ra.Time != rb.Time || ra.Pos != rb.Pos || ra.Accuracy != rb.Accuracy {
 				t.Fatalf("record %d/%d: %+v vs %+v", i, j, ra, rb)
 			}
 		}

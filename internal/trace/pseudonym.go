@@ -39,18 +39,25 @@ func (p *Pseudonymizer) Pseudonym(user string) string {
 }
 
 // Apply returns a copy of the dataset with every user replaced by their
-// pseudonym. Each distinct user costs one HMAC, however many trajectories
-// they hold.
-func (p *Pseudonymizer) Apply(d *Dataset) *Dataset {
-	out := d.Clone()
+// pseudonym; d is left as it was.
+func (p *Pseudonymizer) Apply(d *Dataset) *Dataset { return p.Rename(d.Clone()) }
+
+// Rename replaces every user of d by their pseudonym, in place, and returns
+// d. Each distinct user costs one HMAC, however many trajectories they
+// hold, and a trajectory d holds twice is renamed once.
+func (p *Pseudonymizer) Rename(d *Dataset) *Dataset {
 	pseudonyms := make(map[string]string)
-	for _, t := range out.Trajectories {
+	names := make([]string, len(d.Trajectories))
+	for i, t := range d.Trajectories {
 		ps, ok := pseudonyms[t.User]
 		if !ok {
 			ps = p.Pseudonym(t.User)
 			pseudonyms[t.User] = ps
 		}
-		t.User = ps
+		names[i] = ps
 	}
-	return out
+	for i, t := range d.Trajectories {
+		t.User = names[i]
+	}
+	return d
 }

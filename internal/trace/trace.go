@@ -17,9 +17,9 @@ import (
 	"apisense/internal/geo"
 )
 
-// Record is a single timestamped location fix.
+// Record is a single timestamped location fix: 32 bytes, no pointer.
 type Record struct {
-	Time time.Time
+	Time Instant
 	Pos  geo.Point
 	// Accuracy is the reported GPS accuracy in metres (0 when unknown).
 	Accuracy float64
@@ -50,7 +50,7 @@ func (t *Trajectory) Clone() *Trajectory {
 // Sort orders records by ascending timestamp (stable).
 func (t *Trajectory) Sort() {
 	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].Time.Before(t.Records[j].Time)
+		return t.Records[i].Time < t.Records[j].Time
 	})
 }
 
@@ -60,27 +60,27 @@ func (t *Trajectory) Validate() error {
 		if !r.Pos.Valid() {
 			return fmt.Errorf("trace: record %d of user %q has invalid position %v", i, t.User, r.Pos)
 		}
-		if i > 0 && r.Time.Before(t.Records[i-1].Time) {
+		if i > 0 && r.Time < t.Records[i-1].Time {
 			return fmt.Errorf("trace: record %d of user %q is out of order", i, t.User)
 		}
 	}
 	return nil
 }
 
-// Start returns the timestamp of the first record.
+// Start returns the timestamp of the first record, in UTC.
 func (t *Trajectory) Start() (time.Time, error) {
 	if len(t.Records) == 0 {
 		return time.Time{}, ErrEmpty
 	}
-	return t.Records[0].Time, nil
+	return t.Records[0].Time.Time(), nil
 }
 
-// End returns the timestamp of the last record.
+// End returns the timestamp of the last record, in UTC.
 func (t *Trajectory) End() (time.Time, error) {
 	if len(t.Records) == 0 {
 		return time.Time{}, ErrEmpty
 	}
-	return t.Records[len(t.Records)-1].Time, nil
+	return t.Records[len(t.Records)-1].Time.Time(), nil
 }
 
 // Duration returns End - Start (zero for trajectories with <2 records).
@@ -124,7 +124,7 @@ func (t *Trajectory) SplitDays(loc *time.Location) []*Trajectory {
 	var curYear, curDay int
 	var curMonth time.Month
 	for _, r := range t.Records {
-		year, month, day := r.Time.In(loc).Date()
+		year, month, day := r.Time.Time().In(loc).Date()
 		if cur == nil || day != curDay || month != curMonth || year != curYear {
 			cur = &Trajectory{User: t.User}
 			curYear, curMonth, curDay = year, month, day
@@ -138,22 +138,22 @@ func (t *Trajectory) SplitDays(loc *time.Location) []*Trajectory {
 // At returns the interpolated position of the moving user at time ts. The
 // second return value is false when ts falls outside the trajectory span or
 // the trajectory is empty.
-func (t *Trajectory) At(ts time.Time) (geo.Point, bool) {
+func (t *Trajectory) At(ts Instant) (geo.Point, bool) {
 	n := len(t.Records)
 	if n == 0 {
 		return geo.Point{}, false
 	}
-	if ts.Before(t.Records[0].Time) || ts.After(t.Records[n-1].Time) {
+	if ts < t.Records[0].Time || ts > t.Records[n-1].Time {
 		return geo.Point{}, false
 	}
 	// Binary search for the segment containing ts.
-	i := sort.Search(n, func(i int) bool { return !t.Records[i].Time.Before(ts) })
+	i := sort.Search(n, func(i int) bool { return t.Records[i].Time >= ts })
 	return t.interpolate(i, ts), true
 }
 
 // interpolate returns the position at ts given i, the index of the first
 // record not before ts.
-func (t *Trajectory) interpolate(i int, ts time.Time) geo.Point {
+func (t *Trajectory) interpolate(i int, ts Instant) geo.Point {
 	if i == 0 {
 		return t.Records[0].Pos
 	}
@@ -181,8 +181,8 @@ func (t *Trajectory) Resample(period time.Duration) (*Trajectory, error) {
 	// Samples are taken in time order, so the first record not before the
 	// sample only ever moves forward.
 	i := 0
-	for ts := first; !ts.After(last); ts = ts.Add(period) {
-		for t.Records[i].Time.Before(ts) {
+	for ts := first; ts <= last; ts = ts.Add(period) {
+		for t.Records[i].Time < ts {
 			i++
 		}
 		out.Records = append(out.Records, Record{Time: ts, Pos: t.interpolate(i, ts)})
