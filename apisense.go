@@ -185,11 +185,10 @@ func NewPrivacyAttack(cfg PrivacyConfig) (*attack.POIRecovery, error) { return c
 // ---- evaluation cache ----
 
 // EvalCache is the content-addressed evaluation cache. Set
-// PrivacyConfig.Cache to memoize reference-POI extraction, attacker
-// stay-point extraction and whole selection results across Publish runs;
-// unchanged inputs are re-published without re-evaluation, and warm reports
-// and releases stay byte-identical to cold ones on any input (see
-// internal/evalcache).
+// PrivacyConfig.Cache to memoize whole selection results (per dataset or
+// per shard) across Publish runs; unchanged inputs and unchanged shards are
+// re-published without re-evaluation, and warm reports and releases stay
+// byte-identical to cold ones on any input (see internal/evalcache).
 type EvalCache = evalcache.Cache
 
 // NewEvalCache returns the in-memory LRU evaluation cache bounded to

@@ -206,7 +206,9 @@ func shiftUsers(b *testing.B, ds *trace.Dataset, k int) *trace.Dataset {
 // pass runs under StopTimer with a fresh cache every iteration, so warm
 // sub-benchmarks never self-hit across iterations). "cold" publishes the
 // same 10%-changed dataset with caching disabled; cold ns/op over
-// changed=10pct ns/op is the incremental speedup CI tracks.
+// changed=10pct ns/op is the incremental speedup CI tracks. Cached cases
+// also report cache_MB, the cache's retained bytes (its cost estimate)
+// after the timed publish of the last iteration.
 func BenchmarkRepublishIncremental(b *testing.B) {
 	w := benchWorkload(b)
 	policy, err := ShardByUser(24) // ~1 user per shard at 12 users
@@ -232,11 +234,14 @@ func BenchmarkRepublishIncremental(b *testing.B) {
 	for _, tc := range cases {
 		mutated := shiftUsers(b, w.Raw, tc.k)
 		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cache EvalCache
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cfg := PrivacyConfig{PseudonymKey: []byte("bench")}
 				if tc.cache {
-					cfg.Cache = NewEvalCache(0)
+					cache = NewEvalCache(0)
+					cfg.Cache = cache
 				}
 				mw, err := NewPrivacyMiddleware(cfg, w.City.Center)
 				if err != nil {
@@ -247,6 +252,9 @@ func BenchmarkRepublishIncremental(b *testing.B) {
 				}
 				b.StartTimer()
 				publish(b, mw, mutated)
+			}
+			if cache != nil {
+				b.ReportMetric(float64(cache.Stats().Bytes)/(1<<20), "cache_MB")
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -433,24 +432,67 @@ func TestWarmPublicationMatchesCold(t *testing.T) {
 	})
 }
 
-// TestReferencePOIsCachedMatchesUncached: the memoized reference-POI path
-// must reproduce ReferencePOIs exactly, including which users appear,
-// whether served cold or warm.
-func TestReferencePOIsCachedMatchesUncached(t *testing.T) {
+// TestCacheHoldsSelectionsOnly: the evaluation cache holds one entry per
+// selection it computed — the whole dataset's or each shard's — and
+// nothing per user or per trajectory. A cold monolithic publication stores
+// one entry, a cold sharded one one per shard; republishing with one user
+// changed adds one entry (per changed shard), and a scorecard-only
+// Evaluate stores nothing.
+func TestCacheHoldsSelectionsOnly(t *testing.T) {
 	ds := fixture(t)
-	m := newCached(t, evalcache.NewLRU(0), 1)
-	want, err := m.ReferencePOIs(ds)
+	by, err := NewShardByUser(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pass := range []string{"cold", "warm"} {
-		got, err := m.referencePOIs(ds, ds.TrajectoryHashes())
-		if err != nil {
-			t.Fatal(err)
+	// One user moved north; every other trajectory is shared with ds.
+	moved := ds.Users()[0]
+	changed := trace.NewDataset()
+	for _, tr := range ds.Trajectories {
+		if tr.User == moved {
+			tr = tr.Clone()
+			for k := range tr.Records {
+				tr.Records[k].Pos.Lat += 1e-5
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s referencePOIs differs from ReferencePOIs", pass)
-		}
+		changed.Add(tr)
+	}
+	entries := func(cache *evalcache.LRU) int { return cache.Stats().Entries }
+
+	cache := evalcache.NewLRU(0)
+	m := newCached(t, cache, 2)
+	if _, err := m.EvaluateContext(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+	if got := entries(cache); got != 0 {
+		t.Errorf("Evaluate stored %d entries, want 0", got)
+	}
+	m.mustPublish(t, ds)
+	if got := entries(cache); got != 1 {
+		t.Errorf("cold monolithic publication stored %d entries, want 1", got)
+	}
+	m.mustPublish(t, changed)
+	if got := entries(cache); got != 2 {
+		t.Errorf("republication with one changed user holds %d entries, want 2", got)
+	}
+
+	cache = evalcache.NewLRU(0)
+	m = newCached(t, cache, 2)
+	_, sel, err := m.PublishShardedContext(context.Background(), ds, by)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := len(sel.Shards)
+	if shards < 2 {
+		t.Fatalf("%d shards, the case tests nothing", shards)
+	}
+	if got := entries(cache); got != shards {
+		t.Errorf("cold sharded publication stored %d entries, want one per shard (%d)", got, shards)
+	}
+	if _, _, err := m.PublishShardedContext(context.Background(), changed, by); err != nil {
+		t.Fatal(err)
+	}
+	if got := entries(cache); got != shards+1 {
+		t.Errorf("republication with one changed user holds %d entries, want %d", got, shards+1)
 	}
 }
 

@@ -146,10 +146,10 @@ type Config struct {
 	// negative) selects runtime.GOMAXPROCS(0); 1 forces a fully
 	// sequential run. Results are byte-identical for any value.
 	Parallelism int
-	// Cache is the optional evaluation cache (see internal/evalcache):
-	// per-user reference-POI memoization, per-trajectory attacker
-	// extraction memoization, whole-selection caching keyed by dataset/
-	// shard content hash. nil disables caching. A cache may be shared by
+	// Cache is the optional evaluation cache (see internal/evalcache): it
+	// holds whole selections (scorecard, winner, protected dataset) keyed
+	// by dataset or shard content hash, so an unchanged shard skips
+	// evaluation. nil disables caching. A cache may be shared by
 	// several middlewares and used from concurrent Publish calls; entries
 	// are scoped by a configuration fingerprint, so a config change never
 	// serves stale results. Warm reports and releases are byte-identical
@@ -267,10 +267,11 @@ type Middleware struct {
 	// only on the middleware configuration, never on the dataset.
 	refExtractor poi.Extractor
 	recovery     *attack.POIRecovery
-	// cache and fp drive the evaluation cache (nil cache = disabled);
-	// see cache.go.
+	// cache and fp drive the evaluation cache (nil cache = disabled):
+	// fp is the configuration fingerprint every key is scoped by; see
+	// cache.go.
 	cache evalcache.Cache
-	fp    fingerprints
+	fp    string
 	// scratch pools the per-worker buffers of the strategy passes (see
 	// scratch in engine.go), reused across strategies, shards and runs.
 	scratch sync.Pool
@@ -304,9 +305,6 @@ func New(cfg Config, origin geo.Point) (*Middleware, error) {
 	m.recovery, err = NewAttack(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if m.cache != nil {
-		m.recovery.Extractor = cachingExtractor{inner: m.recovery.Extractor, cache: m.cache, fp: m.fp.attack}
 	}
 	return m, nil
 }
@@ -347,7 +345,7 @@ func (m *Middleware) ReferencePOIs(raw *trace.Dataset) (map[string][]geo.Point, 
 	perUser := poi.ExtractAll(m.refExtractor, raw)
 	out := make(map[string][]geo.Point, len(perUser))
 	for user, pois := range perUser {
-		places := poi.Merge(pois, refPOIMergeRadius)
+		places := poi.Merge(pois, 250) // stays within 250 m are one place
 		pts := make([]geo.Point, len(places))
 		for i, p := range places {
 			pts[i] = p.Center

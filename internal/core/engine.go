@@ -39,13 +39,12 @@ type runUser struct {
 	truth        []geo.Point
 }
 
-// newEvalContext derives the shared analysis state from the raw dataset
-// and its trajectory hashes (nil without a cache).
-func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset, hashes [][trace.HashSize]byte) (*evalContext, error) {
+// newEvalContext derives the shared analysis state from the raw dataset.
+func (m *Middleware) newEvalContext(ctx context.Context, raw *trace.Dataset) (*evalContext, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	truth, err := m.referencePOIs(raw, hashes)
+	truth, err := m.ReferencePOIs(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -240,8 +239,8 @@ func (m *Middleware) passUsers(ctx context.Context, ec *evalContext, s lppm.Mech
 // stays fully sequential; a single-strategy portfolio gives the whole
 // budget to one strategy's ranges). No protected data outlives its
 // strategy's pass.
-func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, hashes [][trace.HashSize]byte, budget int) ([]Evaluation, error) {
-	ec, err := m.newEvalContext(ctx, raw, hashes)
+func (m *Middleware) evaluateAll(ctx context.Context, raw *trace.Dataset, budget int) ([]Evaluation, error) {
+	ec, err := m.newEvalContext(ctx, raw)
 	if err != nil {
 		return nil, err
 	}
@@ -288,9 +287,9 @@ func bestStrategy(evals []Evaluation) int {
 func (m *Middleware) EvaluateContext(ctx context.Context, raw *trace.Dataset) (evals []Evaluation, err error) {
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.evaluate")
 	defer func() { endSpan(sp, err) }()
-	// No selection caching: Evaluate is a pure scorecard. It still benefits
-	// from the reference-POI and attacker-extraction memoization.
-	return m.evaluateAll(ctx, raw, m.hashContent(raw).trajectories, m.cfg.Parallelism)
+	// No caching: Evaluate is a pure scorecard, computed in full and
+	// never stored, so it neither hashes raw nor touches the cache.
+	return m.evaluateAll(ctx, raw, m.cfg.Parallelism)
 }
 
 // selectStrategies is the cached selection step shared by PublishContext
@@ -301,24 +300,24 @@ func (m *Middleware) EvaluateContext(ctx context.Context, raw *trace.Dataset) (e
 // the dataset content and the configuration fingerprint match a prior run.
 // A hit is the scorecard a cache-less run reports; a miss scores every
 // strategy in full, so warm and cold results are byte-identical on any
-// input. raw's trajectories are hashed once here; every cache key of the
-// run is derived from those hashes. With a cache the result is shared with
-// it and must reach the caller only through handOut and scorecard.
+// input. Only a cached run hashes raw, once, for the selection key. With a
+// cache the result is shared with it and must reach the caller only
+// through handOut and scorecard.
 func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, budget int) (_ *cachedSelection, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ctx, sp := m.cfg.Tracer.Start(ctx, "core.select")
 	defer func() { endSpan(sp, err) }()
-	hs := m.hashContent(raw)
-	if cs, ok := m.loadSelection(hs.dataset); ok {
+	key := m.selectionKey(raw)
+	if cs, ok := m.loadSelection(key); ok {
 		sp.SetAttr(otrace.Bool("cache_hit", true))
 		return cs, nil
 	}
 	if m.cache != nil {
 		sp.SetAttr(otrace.Bool("cache_hit", false))
 	}
-	evals, err := m.evaluateAll(ctx, raw, hs.trajectories, budget)
+	evals, err := m.evaluateAll(ctx, raw, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +328,7 @@ func (m *Middleware) selectStrategies(ctx context.Context, raw *trace.Dataset, b
 			return nil, fmt.Errorf("core: strategy %s: %w", win.Name(), err)
 		}
 	}
-	m.storeSelection(hs.dataset, cs)
+	m.storeSelection(key, cs)
 	return cs, nil
 }
 

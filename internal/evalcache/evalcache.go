@@ -3,20 +3,13 @@
 // proportion to what changed since the previous publication, not to the
 // dataset's size.
 //
-// The engine (internal/core) keys three kinds of entries into one cache:
-//
-//   - per-user reference-POI extractions, keyed by a canonical hash of the
-//     user's trajectories plus the POI-configuration fingerprint — users
-//     whose traces did not change between publications never re-run
-//     extraction;
-//   - per-trajectory attacker stay-point extractions, keyed by the
-//     protected trajectory's content hash — deterministic mechanisms
-//     reproduce byte-identical protected output for unchanged input, so
-//     the simulated attack skips unchanged trajectories;
-//   - whole selection results (scorecard, winner, protected dataset
-//     pre-pseudonymisation), keyed by the dataset/shard content hash plus
-//     the middleware configuration fingerprint — unchanged shards skip
-//     evaluation entirely.
+// The engine (internal/core) keeps one kind of entry: the whole selection
+// of a dataset or shard (scorecard, winner, protected dataset before
+// pseudonymisation), keyed by the dataset's or shard's content hash plus
+// the middleware configuration fingerprint — unchanged shards skip
+// evaluation entirely. Nothing finer-grained is memoised: per-trajectory
+// attacker extractions and per-user reference POIs cost about as much to
+// hash and hold as they saved.
 //
 // Keys are content-addressed: the same key always maps to the same value,
 // so a cache hit is byte-identical to recomputation. A miss recomputes in

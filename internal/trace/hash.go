@@ -50,9 +50,8 @@ func (t *Trajectory) ContentHash() [HashSize]byte {
 }
 
 // TrajectoryHashes returns every trajectory's ContentHash, in dataset
-// order. Callers that key both the dataset and parts of it (the publication
-// engine keys a shard and each user's trajectories in it) hash once here
-// and combine.
+// order. A caller that keys both the dataset and parts of it hashes once
+// here and combines.
 func (d *Dataset) TrajectoryHashes() [][HashSize]byte {
 	out := make([][HashSize]byte, len(d.Trajectories))
 	for i, t := range d.Trajectories {
@@ -71,9 +70,8 @@ func (d *Dataset) ContentHash() [HashSize]byte {
 }
 
 // CombineHashes folds a sequence of content hashes into one digest, in
-// order. The engine uses it to key a user's trajectory set (the
-// trajectories a dataset holds for one user, in dataset order) without
-// materialising a sub-dataset.
+// order: it keys a sequence of trajectories (a dataset, or any part of
+// one) without materialising a sub-dataset.
 func CombineHashes(hashes ...[HashSize]byte) [HashSize]byte {
 	h := sha256.New()
 	var buf [8]byte
